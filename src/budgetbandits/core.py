@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -56,8 +56,8 @@ def validate_config(cfg: BanditConfig) -> BanditConfig:
         raise ConfigError("K must be >= 1")
     if cfg.plays > cfg.n_arms:
         raise ConfigError("K exceeds N")
-    if not cfg.budget > 0:
-        raise ConfigError("budget must be > 0")
+    if not 0.0 < cfg.budget < math.inf:
+        raise ConfigError("budget must be finite and > 0")
     if not 0.0 < cfg.c_min:
         raise ConfigError("c_min must be > 0")
     if not cfg.c_min < 1.0:
@@ -106,11 +106,12 @@ class StochasticEnv:
             raise ConfigError("mean vectors must be 1-d and of equal length")
         if not 0.0 < self.c_min < 1.0:
             raise ConfigError("c_min must lie in (0, 1)")
-        if np.any(mr <= 0.0) or np.any(mr > 1.0):
+        # written so that NaN fails every range check
+        if not np.all((mr > 0.0) & (mr <= 1.0)):
             raise ConfigError("mean rewards must lie in (0, 1]")
-        if np.any(mc < self.c_min - 1e-12) or np.any(mc > 1.0):
+        if not np.all((mc >= self.c_min - 1e-12) & (mc <= 1.0)):
             raise ConfigError("mean costs must lie in [c_min, 1]")
-        if self.beta_concentration <= 0.0:
+        if not self.beta_concentration > 0.0:
             raise ConfigError("beta_concentration must be > 0")
         mr.setflags(write=False)
         mc.setflags(write=False)
@@ -143,9 +144,10 @@ class AdversarialEnv:
         object.__setattr__(self, "costs", c)
         if r.ndim != 2 or r.shape != c.shape:
             raise ConfigError("reward and cost matrices must share a (T_max, N) shape")
-        if np.any(r < 0.0) or np.any(r > 1.0):
+        # written so that NaN fails every range check
+        if not np.all((r >= 0.0) & (r <= 1.0)):
             raise ConfigError("rewards must lie in [0, 1]")
-        if np.any(c <= 0.0) or np.any(c > 1.0):
+        if not np.all((c > 0.0) & (c <= 1.0)):
             raise ConfigError("costs must lie in (0, 1]")
         r.setflags(write=False)
         c.setflags(write=False)
@@ -173,11 +175,32 @@ class RoundOutcome:
 
     @property
     def reward(self) -> float:
-        return float(self.rewards.sum())
+        return sum_in_order(self.rewards.tolist())
 
     @property
     def cost(self) -> float:
-        return float(self.costs.sum())
+        return sum_in_order(self.costs.tolist())
+
+
+def sum_in_order(terms: Iterable, out: Optional[np.ndarray] = None):
+    """Add ``terms`` one at a time, first to last.
+
+    Every round total, of a played round and of the oracles' fixed subsets
+    alike, is summed over its arms (in the order played) this way, so equal
+    rounds give equal totals bit for bit; numpy's ``sum`` turns pairwise from
+    eight terms on. Without ``out`` the terms are floats and a float is
+    returned; with it they are arrays, added element-wise into ``out``.
+    """
+    if out is None:
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
+    terms = iter(terms)
+    np.copyto(out, next(terms))
+    for term in terms:
+        np.add(out, term, out=out)
+    return out
 
 
 @dataclass

@@ -4,6 +4,17 @@ Replications are embarrassingly parallel: replication i derives its own
 random stream from (base_seed, i + 1), stream 0 being reserved for one-off
 environment materialization, and results are folded in replication order, so
 reports do not depend on scheduling.
+
+The exact adversarial oracle evaluates subsets in lexicographic blocks. For a
+block of m subsets it builds the (T_max + 1, m) matrix whose row 0 is the
+budget and whose row t is round t's cost, each summed over the subset's arms
+left to right (core.sum_in_order, as played rounds are summed). A subtract
+accumulate down the rounds then yields the very remainders of the policies'
+sequential subtraction; a round overdraws iff its remainder turns negative,
+and the subset's gain is an add accumulate of the reward totals read just
+before that round. The work buffers hold at most _ORACLE_CELLS cells each
+and are allocated once per call, so memory does not grow with N choose K.
+One subset is the same computation with a block of one (simulate_fixed_subset).
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +38,7 @@ from .core import (
     env_from_dict,
     env_to_dict,
     episode_rng,
+    sum_in_order,
     validate_config,
 )
 from .exp3 import (
@@ -42,6 +54,10 @@ from .ucb import ucb_run_episode
 POLICY_NAMES = ("ucb_mb", "exp3_mb", "exp3_1_mb", "exp3_pm", "exp3_pmb")
 
 ENV_STREAM = 0  # replication i uses stream i + 1
+
+# float64 cells per work buffer of the exact oracle: a block holds
+# _ORACLE_CELLS // (T_max + 1) subsets, whatever N choose K is
+_ORACLE_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,6 +77,8 @@ class PolicySpec:
                 raise ConfigError("exp3_mb needs exactly one of gamma or g")
             if isinstance(self.g, str) and self.g != "oracle":
                 raise ConfigError("g must be a number or the string 'oracle'")
+        elif self.gamma is not None or self.g is not None:
+            raise ConfigError(f"{self.name} takes neither gamma nor g; only exp3_mb does")
 
 
 @dataclass(frozen=True)
@@ -124,19 +142,68 @@ def simulate_fixed_subset(env: AdversarialEnv, arms: Sequence[int], budget: floa
     formulation: the remainder is tracked by sequential subtraction and the
     round whose cost exceeds it is not credited.
     """
-    idx = np.asarray(sorted(arms), dtype=np.intp)
-    rewards = env.rewards[:, idx].sum(axis=1)
-    costs = env.costs[:, idx].sum(axis=1)
-    remaining = budget
-    gain = 0.0
-    for t in range(env.t_max):
-        cost = float(costs[t])
-        if cost > remaining:
-            return gain
-        remaining -= cost
-        gain += float(rewards[t])
-    raise ConfigError(
-        "sequence exhausted before the budget; raise T_max above ceil(B/(K c_min))")
+    subset = tuple(sorted(int(a) for a in arms))
+    if not subset:
+        raise ConfigError("a subset needs at least one arm")
+    if any(not -env.n_arms <= a < env.n_arms for a in subset):
+        raise IndexError("arm index out of range")
+    return _best_subset(env, iter([subset]), 1, len(subset), budget)[1]
+
+
+def _best_subset(env: AdversarialEnv, subsets: Iterator[tuple[int, ...]], count: int,
+                 plays: int, budget: float) -> tuple[tuple[int, ...], float]:
+    """Best of ``count`` sorted ``plays``-subsets, each played until the budget runs out.
+
+    Ties go to the subset that comes first. See the module docstring for the
+    block evaluation.
+    """
+    t_max = env.t_max
+    block = min(count, max(1, _ORACLE_CELLS // (t_max + 1)))
+    totals = np.empty((t_max + 1) * block)
+    scratch = np.empty(t_max * block)
+    overdrawn = np.empty(t_max * block, dtype=bool)
+    best_arms: Optional[tuple[int, ...]] = None
+    best_gain = -math.inf
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, block)),
+                           dtype=np.intp)
+        m = flat.size // plays
+        if m == 0:
+            break
+        arms = flat.reshape(m, plays)
+        cols = np.arange(m)
+        # row t: the remainder after round t, by the policies' sequential subtraction
+        remaining = totals[:(t_max + 1) * m].reshape(t_max + 1, m)
+        remaining[0] = budget
+        _round_totals(env.costs, arms, remaining[1:], scratch)
+        np.subtract.accumulate(remaining, axis=0, out=remaining)
+        # round t overdraws iff its cost exceeds the remainder before it, which
+        # in IEEE arithmetic holds iff the remainder after it is negative
+        over = np.less(remaining[1:], 0.0, out=overdrawn[:t_max * m].reshape(t_max, m))
+        stop = over.argmax(axis=0)  # first overdrawing round, 0-based
+        if not over[stop, cols].all():
+            raise ConfigError(
+                "sequence exhausted before the budget; raise T_max above ceil(B/(K c_min))")
+        # row t: the gain of the first t rounds; a subset gains row stop
+        rows = int(stop.max()) + 1
+        gains = totals[:rows * m].reshape(rows, m)
+        gains[0] = 0.0
+        _round_totals(env.rewards[:rows - 1], arms, gains[1:], scratch)
+        np.add.accumulate(gains, axis=0, out=gains)
+        block_gains = gains[stop, cols]
+        i = int(block_gains.argmax())
+        if block_gains[i] > best_gain:
+            best_arms, best_gain = tuple(int(a) for a in arms[i]), float(block_gains[i])
+    assert best_arms is not None
+    return best_arms, best_gain
+
+
+def _round_totals(values: np.ndarray, arms: np.ndarray, out: np.ndarray,
+                  scratch: np.ndarray) -> None:
+    """out[t, j] = values[t, arms[j]].sum(), its columns added in order."""
+    column = scratch[:out.size].reshape(out.shape)
+    sum_in_order((np.take(values, a, axis=1, out=column, mode="wrap") for a in arms.T),
+                 out=out)
 
 
 def oracle_gain_adversarial(env: AdversarialEnv, cfg: BanditConfig,
@@ -158,14 +225,8 @@ def oracle_gain_adversarial(env: AdversarialEnv, cfg: BanditConfig,
     if math.comb(n, k) > bounds_mod.ENUMERATION_LIMIT:
         raise ConfigError(
             "N choose K exceeds the exact-oracle limit (10^6); use greedy mode")
-    best_arms: Optional[tuple[int, ...]] = None
-    best_gain = -math.inf
-    for a in itertools.combinations(range(n), k):
-        gain = simulate_fixed_subset(env, a, cfg.budget)
-        if gain > best_gain:
-            best_arms, best_gain = a, gain
-    assert best_arms is not None
-    return best_arms, best_gain
+    return _best_subset(env, itertools.combinations(range(n), k), math.comb(n, k), k,
+                        cfg.budget)
 
 
 def oracle_gain_fixed_horizon(env: AdversarialEnv, horizon: int,

@@ -72,6 +72,32 @@ class TestRun:
         assert main(["run", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("breakage", [
+        "nan_mean", "nan_reward", "inf_cost", "neg_inf_reward", "inf_budget", "gamma_on_ucb",
+    ])
+    def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
+        doc = run_doc(episode_rng(1, 1))
+        env = doc["environment"]
+        if breakage in ("nan_mean", "gamma_on_ucb"):
+            doc["policy"] = {"name": "ucb_mb"}
+            doc["environment"] = {"type": "stochastic", "mean_rewards": [0.9, 0.8, 0.5, 0.4],
+                                  "mean_costs": [0.6] * 4, "c_min": 0.5}
+        if breakage == "nan_mean":
+            doc["environment"]["mean_rewards"][1] = float("nan")
+        elif breakage == "nan_reward":
+            env["rewards"][3][1] = float("nan")
+        elif breakage == "inf_cost":
+            env["costs"][3][1] = float("inf")
+        elif breakage == "neg_inf_reward":
+            env["rewards"][3][1] = -float("inf")
+        elif breakage == "inf_budget":
+            doc["config"]["budget"] = float("inf")
+        else:
+            doc["policy"]["gamma"] = 0.3
+        cfg = write_json(tmp_path / "bad.json", doc)
+        assert main(["run", "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self):
         assert main(["run", "--config", "/nonexistent/nope.json"]) == 2
 

@@ -38,6 +38,8 @@ def test_validate_config_rejects_cmin_one():
     [
         (dict(n_arms=4, plays=0, budget=10.0, c_min=0.5), "K must be >= 1"),
         (dict(n_arms=4, plays=2, budget=0.0, c_min=0.5), "budget"),
+        (dict(n_arms=4, plays=2, budget=float("inf"), c_min=0.5), "budget"),
+        (dict(n_arms=4, plays=2, budget=float("nan"), c_min=0.5), "budget"),
         (dict(n_arms=4, plays=2, budget=10.0, c_min=0.0), "c_min"),
         (dict(n_arms=4, plays=2, budget=10.0, c_min=0.5, confidence=1.0), "confidence"),
         (dict(n_arms=4, plays=2, budget=10.0, c_min=0.5, confidence=0.0), "confidence"),
@@ -53,6 +55,29 @@ def test_stochastic_env_rejects_bad_means():
         StochasticEnv(mean_rewards=[0.0, 0.5], mean_costs=[0.5, 0.5], c_min=0.5)
     with pytest.raises(ConfigError):
         StochasticEnv(mean_rewards=[0.5, 0.5], mean_costs=[0.3, 0.5], c_min=0.5)
+
+
+@pytest.mark.parametrize("field", ["mean_rewards", "mean_costs"])
+def test_stochastic_env_rejects_nan_means(field):
+    means = dict(mean_rewards=[0.5, 0.5], mean_costs=[0.6, 0.6])
+    means[field] = [0.5, float("nan")]
+    with pytest.raises(ConfigError, match="must lie in"):
+        StochasticEnv(c_min=0.5, **means)
+
+
+def test_stochastic_env_rejects_nan_concentration():
+    with pytest.raises(ConfigError, match="beta_concentration"):
+        StochasticEnv(mean_rewards=[0.5], mean_costs=[0.6], c_min=0.5,
+                      beta_concentration=float("nan"))
+
+
+@pytest.mark.parametrize("field", ["rewards", "costs"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_adversarial_env_rejects_non_finite_entries(field, value):
+    matrices = dict(rewards=np.full((3, 2), 0.5), costs=np.full((3, 2), 0.6))
+    matrices[field][1, 1] = value
+    with pytest.raises(ConfigError, match="must lie in"):
+        AdversarialEnv(**matrices)
 
 
 def test_point_mass_rewards_all_one():

@@ -251,6 +251,12 @@ class TestSpecs:
         with pytest.raises(ConfigError):
             PolicySpec("exp3_mb", g="best")
 
+    @pytest.mark.parametrize("name", ["ucb_mb", "exp3_1_mb", "exp3_pm", "exp3_pmb"])
+    @pytest.mark.parametrize("kwargs", [dict(gamma=0.3), dict(g=10.0), dict(g="oracle")])
+    def test_gamma_and_g_only_for_exp3_mb(self, name, kwargs):
+        with pytest.raises(ConfigError, match="neither gamma nor g"):
+            PolicySpec(name, **kwargs)
+
     def test_run_spec_dict_round_trip(self):
         cfg = BanditConfig(n_arms=3, plays=2, budget=8.0, c_min=0.5, horizon=None)
         env = StochasticEnv(mean_rewards=[0.9, 0.5, 0.4],
