@@ -38,11 +38,11 @@ def test_validate_config_rejects_cmin_one():
     [
         (dict(n_arms=4, plays=0, budget=10.0, c_min=0.5), "K must be >= 1"),
         (dict(n_arms=4, plays=2, budget=0.0, c_min=0.5), "budget"),
-        (dict(n_arms=4, plays=2, budget=float("inf"), c_min=0.5), "budget"),
-        (dict(n_arms=4, plays=2, budget=float("nan"), c_min=0.5), "budget"),
         (dict(n_arms=4, plays=2, budget=10.0, c_min=0.0), "c_min"),
         (dict(n_arms=4, plays=2, budget=10.0, c_min=0.5, confidence=1.0), "confidence"),
         (dict(n_arms=4, plays=2, budget=10.0, c_min=0.5, confidence=0.0), "confidence"),
+        (dict(n_arms=4, plays=2, budget=float("inf"), c_min=0.5), "budget"),
+        (dict(n_arms=4, plays=2, budget=float("nan"), c_min=0.5), "budget"),
     ],
 )
 def test_validate_config_rejections(kwargs, match):
