@@ -95,8 +95,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    doc = _load_config(args.config)
-    spec = _spec_with_seed(doc, args.seed)
+    spec = _spec_with_seed(_load_config(args.config), args.seed)
     cfg = validate_config(spec.config)
     env = materialize_environment(spec)
     out: dict = {}
@@ -104,10 +103,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         params = bounds_mod.StochasticBoundParams.from_env(env, cfg.plays)
         thm1 = bounds_mod.thm1_bound(params, cfg.budget)
         out["thm1"] = {"value": thm1.value, "constituents": thm1.constituents}
-    g = doc.get("g")
+    g = spec.policy.g
     if isinstance(env, AdversarialEnv):
-        if g == "oracle" or (g is None and math.comb(cfg.n_arms, cfg.plays) <= 10 ** 4):
-            _, g = oracle_gain_adversarial(env, cfg)
+        subsets = math.comb(cfg.n_arms, cfg.plays)
+        if g == "oracle" or (g is None and subsets <= 10 ** 4):
+            # the mode run uses, so that both report the same g
+            mode = "exact" if subsets <= bounds_mod.ENUMERATION_LIMIT else "greedy"
+            _, g = oracle_gain_adversarial(env, cfg, mode=mode)
     if isinstance(g, (int, float)) and g > 0:
         out["thm2"] = {"value": bounds_mod.thm2_bound(float(g), cfg.budget, cfg.n_arms,
                                                       cfg.plays, cfg.c_min), "g": float(g)}

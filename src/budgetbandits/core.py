@@ -9,6 +9,7 @@ episode: its reward is not credited and its cost is not charged.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -221,7 +222,11 @@ class EpisodeTrace:
 
     gain sums rewards over rounds 1 .. stopping_time - 1; the terminating round
     is recorded (when recording is on) but neither credited nor charged.
-    ``extras`` carries policy-specific diagnostics such as epoch boundaries.
+    stopping_time is 0 while a budgeted episode is still running.
+    ``round_costs`` and ``round_rewards`` hold the cost and reward total of
+    every round of a budgeted episode, in order and the terminating round
+    included, whether or not recording is on. ``extras`` carries
+    policy-specific diagnostics such as epoch boundaries.
     """
 
     gain: float
@@ -229,6 +234,30 @@ class EpisodeTrace:
     budget_spent: float
     rounds: list[RoundRecord] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    round_costs: array = field(default_factory=lambda: array("d"))
+    round_rewards: array = field(default_factory=lambda: array("d"))
+
+    def play(self, t: int, outcome: RoundOutcome, remaining: float,
+             probabilities: Optional[np.ndarray], record: bool) -> float:
+        """Charge round ``t`` against ``remaining`` and return what is left.
+
+        A round whose cost exceeds ``remaining`` ends the episode: it becomes
+        the stopping time and is neither credited nor charged.
+        """
+        cost = outcome.cost
+        reward = outcome.reward
+        self.round_costs.append(cost)
+        self.round_rewards.append(reward)
+        if cost > remaining:
+            self.stopping_time = t
+        else:
+            remaining -= cost
+            self.budget_spent += cost
+            self.gain += reward
+        if record:
+            self.rounds.append(RoundRecord(t, outcome.arms, outcome.rewards, outcome.costs,
+                                           probabilities, remaining))
+        return remaining
 
 
 def episode_rng(base_seed: int, stream: int) -> np.random.Generator:

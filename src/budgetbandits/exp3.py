@@ -251,41 +251,25 @@ def exp3mb_run_episode(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
             raise ConfigError("supply gamma or a gain bound g")
         gamma = tune_gamma_mb(gain_bound, cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min)
     state = make_mb_state(cfg, gamma)
-    return _run_budgeted(state, cfg, env, rng, record)
+    trace = EpisodeTrace(0.0, 0, 0.0)
+    _run_budgeted(state, cfg, env, rng, record, trace, cfg.budget)
+    return trace
 
 
 def _run_budgeted(state: Exp3State, cfg: BanditConfig, env, rng, record: bool,
-                  records: Optional[list] = None, remaining: Optional[float] = None,
-                  gain: float = 0.0, spent: float = 0.0,
-                  stop: Optional[Callable[[], bool]] = None,
-                  ) -> EpisodeTrace | tuple[float, float, float, bool]:
-    """Drive exp3mb_round until budget exhaustion (or ``stop`` fires).
-
-    With ``stop`` given, returns (remaining, gain, spent, terminated) so epoch
-    loops can resume; otherwise returns the finished EpisodeTrace.
+                  trace: EpisodeTrace, remaining: float,
+                  stop: Optional[Callable[[], bool]] = None) -> float:
+    """Drive exp3mb_round, folding each round into ``trace``, until a round
+    overdraws ``remaining`` (which sets the trace's stopping time) or ``stop``
+    fires. Returns the remainder, so that epoch loops can resume.
     """
-    own = remaining is None
-    if own:
-        remaining = cfg.budget
-        records = [] if record else None
-    while True:
+    while not trace.stopping_time:
         if stop is not None and stop():
-            return remaining, gain, spent, False
+            break
         t = state.t
-        outcome, probs, terminated = exp3mb_round(state, env, cfg, remaining, rng)
-        if terminated:
-            if records is not None:
-                records.append(RoundRecord(t, outcome.arms, outcome.rewards,
-                                           outcome.costs, probs.p, remaining))
-            if own:
-                return EpisodeTrace(gain, t, spent, records or [])
-            return remaining, gain, spent, True
-        remaining -= outcome.cost
-        spent += outcome.cost
-        gain += outcome.reward
-        if records is not None:
-            records.append(RoundRecord(t, outcome.arms, outcome.rewards,
-                                       outcome.costs, probs.p, remaining))
+        outcome, probs, _ = exp3mb_round(state, env, cfg, remaining, rng)
+        remaining = trace.play(t, outcome, remaining, probs.p, record)
+    return remaining
 
 
 def exp31mb_run(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
@@ -307,9 +291,8 @@ def exp31mb_run(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
         plays=cfg.plays,
         epoch=0,
     )
-    records: Optional[list] = [] if record else None
+    trace = EpisodeTrace(0.0, 0, 0.0)
     remaining = cfg.budget
-    gain = spent = 0.0
     epoch_starts: list[tuple[int, int]] = []
     epoch = 0
     while True:
@@ -323,17 +306,16 @@ def exp31mb_run(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
             return exp31mb_epoch_done(state.gain_acc, state.loss_acc, g_r, gamma_r,
                                       cfg.n_arms, cfg.plays, cfg.c_min)
 
-        remaining, gain, spent, terminated = _run_budgeted(
-            state, cfg, env, rng, record, records, remaining, gain, spent, epoch_over)
-        if terminated:
-            extras = {
+        remaining = _run_budgeted(state, cfg, env, rng, record, trace, remaining, epoch_over)
+        if trace.stopping_time:
+            trace.extras = {
                 "epoch_starts": epoch_starts,
                 "epochs_started": epoch + 1,
                 "epochs_completed": epoch,
                 "gain_acc": state.gain_acc.copy(),
                 "loss_acc": state.loss_acc.copy(),
             }
-            return EpisodeTrace(gain, state.t, spent, records or [], extras)
+            return trace
         epoch += 1
 
 
@@ -444,7 +426,8 @@ def exp3pmb_run(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
     """Budgeted high-probability episode."""
     params = exp3pmb_parameters(cfg)
     state = _make_high_prob_state(cfg, params)
-    trace = _run_budgeted(state, cfg, env, rng, record)
+    trace = EpisodeTrace(0.0, 0, 0.0)
+    _run_budgeted(state, cfg, env, rng, record, trace, cfg.budget)
     trace.extras["sigma_acc"] = state.sigma_acc.copy()
     return trace
 

@@ -12,9 +12,26 @@ left to right (core.sum_in_order, as played rounds are summed). A subtract
 accumulate down the rounds then yields the very remainders of the policies'
 sequential subtraction; a round overdraws iff its remainder turns negative,
 and the subset's gain is an add accumulate of the reward totals read just
-before that round. The work buffers hold at most _ORACLE_CELLS cells each
+before that round. The work buffers hold at most _BLOCK_CELLS cells each
 and are allocated once per call, so memory does not grow with N choose K.
 One subset is the same computation with a block of one (simulate_fixed_subset).
+
+Budget sweeps use the same kernel the other way round. For an anytime spec
+(ucb_mb, exp3_1_mb, and exp3_mb given gamma, on an environment that does not
+depend on B) the episode at a budget is a prefix of the episode at any larger
+budget: the same draws and decisions, up to the first round whose cost
+exceeds that budget's own remainder. So each replication is played once, at
+the largest budget, and its trace keeps every round's cost and reward total,
+the terminating round's included. The checkpoint kernel (_checkpoints) builds
+the (T + 1, m) matrix whose row 0 holds the m budgets and whose row t holds
+round t's cost, subtract accumulates it down the rounds, takes each column's
+first negative row as that budget's terminating round, and reads the gain and
+the spend off add accumulates of the round totals just before it. These are
+the operations the policies perform, so every budget's gain and stopping time
+are bit for bit those of a separate run at that budget. Oracles, bounds and
+environment checks still run per budget. Policies that read B (exp3_mb tuned
+by g, exp3_pm, exp3_pmb) and lower-bound instances, whose eps and T_max
+follow B, rerun their replications for each budget.
 """
 
 from __future__ import annotations
@@ -22,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -55,9 +72,10 @@ POLICY_NAMES = ("ucb_mb", "exp3_mb", "exp3_1_mb", "exp3_pm", "exp3_pmb")
 
 ENV_STREAM = 0  # replication i uses stream i + 1
 
-# float64 cells per work buffer of the exact oracle: a block holds
-# _ORACLE_CELLS // (T_max + 1) subsets, whatever N choose K is
-_ORACLE_CELLS = 1 << 14
+# float64 cells per work buffer of the exact oracle and of the checkpoint
+# kernel: a block holds _BLOCK_CELLS // (T + 1) subsets or budgets, whatever
+# N choose K or the number of budgets is
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -158,7 +176,7 @@ def _best_subset(env: AdversarialEnv, subsets: Iterator[tuple[int, ...]], count:
     block evaluation.
     """
     t_max = env.t_max
-    block = min(count, max(1, _ORACLE_CELLS // (t_max + 1)))
+    block = min(count, max(1, _BLOCK_CELLS // (t_max + 1)))
     totals = np.empty((t_max + 1) * block)
     scratch = np.empty(t_max * block)
     overdrawn = np.empty(t_max * block, dtype=bool)
@@ -176,12 +194,8 @@ def _best_subset(env: AdversarialEnv, subsets: Iterator[tuple[int, ...]], count:
         remaining = totals[:(t_max + 1) * m].reshape(t_max + 1, m)
         remaining[0] = budget
         _round_totals(env.costs, arms, remaining[1:], scratch)
-        np.subtract.accumulate(remaining, axis=0, out=remaining)
-        # round t overdraws iff its cost exceeds the remainder before it, which
-        # in IEEE arithmetic holds iff the remainder after it is negative
-        over = np.less(remaining[1:], 0.0, out=overdrawn[:t_max * m].reshape(t_max, m))
-        stop = over.argmax(axis=0)  # first overdrawing round, 0-based
-        if not over[stop, cols].all():
+        stop = _first_overdraw(remaining, overdrawn[:t_max * m].reshape(t_max, m))
+        if stop is None:
             raise ConfigError(
                 "sequence exhausted before the budget; raise T_max above ceil(B/(K c_min))")
         # row t: the gain of the first t rounds; a subset gains row stop
@@ -196,6 +210,54 @@ def _best_subset(env: AdversarialEnv, subsets: Iterator[tuple[int, ...]], count:
             best_arms, best_gain = tuple(int(a) for a in arms[i]), float(block_gains[i])
     assert best_arms is not None
     return best_arms, best_gain
+
+
+def _first_overdraw(remaining: np.ndarray, overdrawn: np.ndarray) -> Optional[np.ndarray]:
+    """Each column's first overdrawing round, 0-based, or None if some column has none.
+
+    ``remaining`` holds a budget in row 0 and round t's cost in row t; it is
+    overwritten in place with the remainders of the policies' sequential
+    subtraction. ``overdrawn`` is a boolean buffer shaped like ``remaining[1:]``.
+    """
+    np.subtract.accumulate(remaining, axis=0, out=remaining)
+    # round t overdraws iff its cost exceeds the remainder before it, which
+    # in IEEE arithmetic holds iff the remainder after it is negative; costs
+    # are positive, so a column that ever overdraws does so in its last row
+    over = np.less(remaining[1:], 0.0, out=overdrawn)
+    if not over[-1].all():
+        return None
+    return over.argmax(axis=0)
+
+
+def _checkpoints(costs: Sequence[float], rewards: Sequence[float], budgets: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gain, stopping_time, spent) of each budget, read off one episode's round totals.
+
+    ``costs`` and ``rewards`` are the round totals of an anytime episode
+    played at a budget no smaller than any of ``budgets``, the terminating
+    round included; each budget's episode is a prefix of it. See the module
+    docstring for the evaluation.
+    """
+    cost = np.asarray(costs, dtype=np.float64)
+    rows = cost.size + 1
+    width = min(budgets.size, max(1, _BLOCK_CELLS // rows))
+    remaining = np.empty((rows, width))
+    overdrawn = np.empty((rows - 1, width), dtype=bool)
+    stop = np.empty(budgets.size, dtype=np.intp)
+    for lo in range(0, budgets.size, width):
+        part = budgets[lo:lo + width]
+        block = remaining[:, :part.size]
+        block[0] = part
+        block[1:] = cost[:, None]
+        found = _first_overdraw(block, overdrawn[:, :part.size])
+        if found is None:
+            raise ValueError("a budget outlasts the episode's rounds")
+        stop[lo:lo + part.size] = found
+    # entry t: the total of the first t rounds; a budget's episode ends in
+    # round stop + 1 and is credited and charged entry stop
+    gain = np.add.accumulate(np.concatenate(([0.0], rewards)))
+    spent = np.add.accumulate(np.concatenate(([0.0], cost)))
+    return gain[stop], stop + 1, spent[stop]
 
 
 def _round_totals(values: np.ndarray, arms: np.ndarray, out: np.ndarray,
@@ -398,6 +460,65 @@ def _attach_bounds(spec: RunSpec, env, oracle_gain: float, g_used: Optional[floa
     return out
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """What a spec's episodes and report need beyond the spec itself."""
+
+    cfg: BanditConfig
+    env: Union[StochasticEnv, AdversarialEnv]
+    oracle_arms: Optional[tuple[int, ...]]
+    oracle_gain: float
+    oracle_mode: str
+    brackets: Optional[tuple[float, float]]
+    gamma: Optional[float]
+    g_used: Optional[float]
+
+
+def _prepare(spec: RunSpec) -> _Prepared:
+    cfg = validate_config(spec.config)
+    env = materialize_environment(spec)
+    _validate_env(cfg, env, spec.policy)
+    if spec.policy.name == "exp3_1_mb" and isinstance(env, AdversarialEnv):
+        warn_if_irrational(env, cfg.plays)
+    a_star, oracle_gain, oracle_mode, brackets = _oracle_for(spec, env)
+    gamma, g_used = _resolve_gamma(spec, oracle_gain)
+    return _Prepared(cfg, env, a_star, oracle_gain, oracle_mode, brackets, gamma, g_used)
+
+
+def _episode(spec: RunSpec, prep: _Prepared, i: int, record: bool) -> EpisodeTrace:
+    """Replication i of the spec, on its own stream."""
+    oracle_arms = prep.oracle_arms if spec.policy.name == "ucb_mb" else None
+    return run_episode(spec.policy, prep.cfg, prep.env, episode_rng(spec.base_seed, i + 1),
+                       record=record, gamma=prep.gamma, oracle_arms=oracle_arms)
+
+
+def _report(spec: RunSpec, prep: _Prepared, per_rep: list[tuple[float, int]]) -> RegretReport:
+    """Fold the replications' (gain, stopping_time) pairs into the spec's report."""
+    gains = np.array([g for g, _ in per_rep])
+    mean_gain = float(gains.mean())
+    std_error = float(gains.std(ddof=1) / math.sqrt(len(gains))) if len(gains) > 1 else 0.0
+
+    bound_values = _attach_bounds(spec, prep.env, prep.oracle_gain, prep.g_used)
+    violation = None
+    key = {"exp3_pm": "thm4", "exp3_pmb": "thm5"}.get(spec.policy.name)
+    if key is not None and key in bound_values:
+        violation = float(np.mean(prep.oracle_gain - gains > bound_values[key]))
+
+    return RegretReport(
+        policy=spec.policy.name,
+        oracle_gain=prep.oracle_gain,
+        oracle_arms=prep.oracle_arms,
+        oracle_mode=prep.oracle_mode,
+        mean_gain=mean_gain,
+        mean_regret=prep.oracle_gain - mean_gain,
+        regret_std_error=std_error,
+        per_replication=per_rep,
+        bound_values=bound_values,
+        violation_fraction=violation,
+        oracle_brackets=prep.brackets,
+    )
+
+
 def run_replications(spec: RunSpec, record: bool = False,
                      traces_out: Optional[list[EpisodeTrace]] = None) -> RegretReport:
     """Run the spec's replications and aggregate regret against the oracle.
@@ -405,76 +526,68 @@ def run_replications(spec: RunSpec, record: bool = False,
     ``traces_out``, if given, receives every episode trace in replication
     order (pass record=True to keep per-round rows).
     """
-    cfg = validate_config(spec.config)
-    env = materialize_environment(spec)
-    _validate_env(cfg, env, spec.policy)
-    if spec.policy.name == "exp3_1_mb" and isinstance(env, AdversarialEnv):
-        warn_if_irrational(env, cfg.plays)
-
-    a_star, oracle_gain, oracle_mode, brackets = _oracle_for(spec, env)
-    gamma, g_used = _resolve_gamma(spec, oracle_gain)
-    oracle_arms = a_star if spec.policy.name == "ucb_mb" else None
+    prep = _prepare(spec)
 
     def one(i: int) -> EpisodeTrace:
-        rng = episode_rng(spec.base_seed, i + 1)
-        return run_episode(spec.policy, cfg, env, rng, record=record,
-                           gamma=gamma, oracle_arms=oracle_arms)
+        return _episode(spec, prep, i, record)
 
     if spec.workers > 1:
         with ThreadPoolExecutor(max_workers=spec.workers) as pool:
             traces = list(pool.map(one, range(spec.replications)))
     else:
-        traces = [one(i) for i in range(spec.replications)]
-    if traces_out is not None:
-        traces_out.extend(traces)
+        traces = map(one, range(spec.replications))
+    per_rep = []
+    for trace in traces:
+        per_rep.append((float(trace.gain), int(trace.stopping_time)))
+        if traces_out is not None:
+            traces_out.append(trace)
+    return _report(spec, prep, per_rep)
 
-    gains = np.array([t.gain for t in traces])
-    per_rep = [(float(t.gain), int(t.stopping_time)) for t in traces]
-    mean_gain = float(gains.mean())
-    std_error = float(gains.std(ddof=1) / math.sqrt(len(gains))) if len(gains) > 1 else 0.0
 
-    bound_values = _attach_bounds(spec, env, oracle_gain, g_used)
-    violation = None
-    key = {"exp3_pm": "thm4", "exp3_pmb": "thm5"}.get(spec.policy.name)
-    if key is not None and key in bound_values:
-        violation = float(np.mean(oracle_gain - gains > bound_values[key]))
+def _is_anytime(spec: RunSpec) -> bool:
+    """Whether the spec's episode at a budget is a prefix of its episode at
+    any larger budget: neither the policy nor the environment reads B."""
+    policy = spec.policy
+    reads_budget = policy.name in ("exp3_pm", "exp3_pmb") or (
+        policy.name == "exp3_mb" and policy.gamma is None)
+    return not reads_budget and not isinstance(spec.environment, LowerBoundSpec)
 
-    return RegretReport(
-        policy=spec.policy.name,
-        oracle_gain=oracle_gain,
-        oracle_arms=a_star,
-        oracle_mode=oracle_mode,
-        mean_gain=mean_gain,
-        mean_regret=oracle_gain - mean_gain,
-        regret_std_error=std_error,
-        per_replication=per_rep,
-        bound_values=bound_values,
-        violation_fraction=violation,
-        oracle_brackets=brackets,
-    )
+
+def _budget_reports(spec: RunSpec, budgets: Sequence[float]) -> list[RegretReport]:
+    """One report per budget, in the order given.
+
+    An anytime spec runs each replication once, at the largest budget, and
+    reads every budget's gain and stopping time off that episode's round
+    totals (_checkpoints). Oracles, bounds and checks stay per budget.
+    """
+    specs = [replace(spec, config=replace(spec.config, budget=float(b))) for b in budgets]
+    if not _is_anytime(spec):
+        return [run_replications(sub) for sub in specs]
+    preps = [_prepare(sub) for sub in specs]
+    values = np.array([prep.cfg.budget for prep in preps])
+    top = int(values.argmax())
+    gains = np.empty((spec.replications, values.size))
+    stops = np.empty((spec.replications, values.size), dtype=np.intp)
+    for i in range(spec.replications):
+        trace = _episode(specs[top], preps[top], i, record=False)
+        gains[i], stops[i], _ = _checkpoints(trace.round_costs, trace.round_rewards, values)
+    return [_report(sub, prep, list(zip(gains[:, j].tolist(), stops[:, j].tolist())))
+            for j, (sub, prep) in enumerate(zip(specs, preps))]
 
 
 def sweep(spec: RunSpec, budgets: Sequence[float]) -> list[dict]:
     """Regret-versus-budget rows for the CSV sweep output."""
-    rows = []
     primary = {"ucb_mb": "thm1", "exp3_mb": "thm2", "exp3_1_mb": "prop1",
                "exp3_pm": "thm4", "exp3_pmb": "thm5"}[spec.policy.name]
-    for budget in budgets:
-        cfg = BanditConfig(spec.config.n_arms, spec.config.plays, float(budget),
-                           spec.config.c_min, spec.config.confidence, spec.config.horizon)
-        sub = RunSpec(cfg, spec.policy, spec.environment, spec.replications,
-                      spec.base_seed, spec.workers)
-        report = run_replications(sub)
-        rows.append({
-            "budget": float(budget),
-            "policy": spec.policy.name,
-            "mean_gain": report.mean_gain,
-            "oracle_gain": report.oracle_gain,
-            "mean_regret": report.mean_regret,
-            "std_error": report.regret_std_error,
-            "bound": report.bound_values.get(primary),
-        })
-    return rows
+    return [{
+        "budget": float(budget),
+        "policy": spec.policy.name,
+        "mean_gain": report.mean_gain,
+        "oracle_gain": report.oracle_gain,
+        "mean_regret": report.mean_regret,
+        "std_error": report.regret_std_error,
+        "bound": report.bound_values.get(primary),
+    } for budget, report in zip(budgets, _budget_reports(spec, budgets))]
 
 
 def run_spec_to_dict(spec: RunSpec) -> dict:

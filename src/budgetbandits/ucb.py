@@ -19,7 +19,6 @@ from .core import (
     BanditConfig,
     EpisodeTrace,
     RoundOutcome,
-    RoundRecord,
     StochasticEnv,
     sample_round,
     validate_config,
@@ -145,36 +144,15 @@ def ucb_run_episode(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Genera
     validate_config(cfg)
     if env.n_arms != cfg.n_arms:
         raise ValueError("environment arm count does not match config")
-    remaining = cfg.budget
-    records: list[RoundRecord] = []
-
-    state, init_cost, init_gain = ucb_init(cfg, env, rng, oracle_arms)
-    init_arms = tuple(range(cfg.n_arms))
-    if init_cost > remaining:
-        if record:
-            records.append(RoundRecord(1, init_arms, state.mean_reward.copy(),
-                                       state.mean_cost.copy(), None, remaining))
-        return EpisodeTrace(0.0, 1, 0.0, records)
-    remaining -= init_cost
-    gain = init_gain
-    spent = init_cost
-    if record:
-        records.append(RoundRecord(1, init_arms, state.mean_reward.copy(),
-                                   state.mean_cost.copy(), None, remaining))
-
-    while True:
+    trace = EpisodeTrace(0.0, 0, 0.0)
+    state, _, _ = ucb_init(cfg, env, rng, oracle_arms)
+    init = RoundOutcome(tuple(range(cfg.n_arms)), state.mean_reward.copy(),
+                        state.mean_cost.copy())
+    remaining = trace.play(1, init, cfg.budget, None, record)
+    while not trace.stopping_time:
         t = state.t
-        arms = ucb_select(state)
-        outcome = sample_round(env, arms, rng)
-        if outcome.cost > remaining:
-            if record:
-                records.append(RoundRecord(t, outcome.arms, outcome.rewards,
-                                           outcome.costs, None, remaining))
-            return EpisodeTrace(gain, t, spent, records)
-        remaining -= outcome.cost
-        spent += outcome.cost
-        gain += outcome.reward
-        if record:
-            records.append(RoundRecord(t, outcome.arms, outcome.rewards,
-                                       outcome.costs, None, remaining))
-        ucb_update(state, outcome, t + 1, rng)
+        outcome = sample_round(env, ucb_select(state), rng)
+        remaining = trace.play(t, outcome, remaining, None, record)
+        if not trace.stopping_time:
+            ucb_update(state, outcome, t + 1, rng)
+    return trace

@@ -36,7 +36,7 @@ from budgetbandits import (
     oracle_gain_adversarial,
     oracle_gain_fixed_horizon,
     prop1_bound,
-    run_replications,
+    sweep,
     thm1_bound,
     thm2_bound,
     thm3_lower_bound,
@@ -257,15 +257,12 @@ UCB_ENV = StochasticEnv(mean_rewards=[0.9, 0.9, 0.7, 0.6],
 
 
 def _ucb_regret_curve(budgets, replications, base_seed):
-    regrets = {}
-    errors = {}
-    for budget in budgets:
-        cfg = BanditConfig(n_arms=4, plays=2, budget=budget, c_min=0.5)
-        spec = RunSpec(cfg, PolicySpec("ucb_mb"), UCB_ENV,
-                       replications=replications, base_seed=base_seed)
-        report = run_replications(spec)
-        regrets[budget] = report.mean_regret
-        errors[budget] = report.regret_std_error
+    cfg = BanditConfig(n_arms=4, plays=2, budget=max(budgets), c_min=0.5)
+    spec = RunSpec(cfg, PolicySpec("ucb_mb"), UCB_ENV,
+                   replications=replications, base_seed=base_seed)
+    rows = sweep(spec, budgets)
+    regrets = {row["budget"]: row["mean_regret"] for row in rows}
+    errors = {row["budget"]: row["std_error"] for row in rows}
     return regrets, errors
 
 

@@ -105,13 +105,39 @@ class TestRun:
 class TestBounds:
     def test_bounds_json(self, tmp_path, capsys):
         doc = run_doc(episode_rng(2, 1))
-        doc["g"] = 30.0
         cfg = write_json(tmp_path / "b.json", doc)
         assert main(["bounds", "--config", cfg]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["thm2"]["value"] > 0
         assert out["thm3_lower"]["value"] > 0
         assert out["thm5"]["value"] > 0
+
+    def test_bounds_follow_the_policy_g(self, tmp_path, capsys):
+        doc = run_doc(episode_rng(2, 1))
+        doc["policy"] = {"name": "exp3_mb", "g": 50.0}
+        cfg = write_json(tmp_path / "b.json", doc)
+        assert main(["bounds", "--config", cfg]) == 0
+        bounds = json.loads(capsys.readouterr().out)
+        assert main(["run", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert bounds["thm2"]["g"] == 50.0
+        assert bounds["thm2"]["g"] == report["bound_values"]["thm2_g"]
+        assert bounds["thm2"]["value"] == report["bound_values"]["thm2"]
+
+    def test_bounds_oracle_g_above_ten_thousand_subsets(self, tmp_path, capsys):
+        # C(16, 7) = 11440 subsets: the oracle is only computed when asked for
+        doc = run_doc(episode_rng(3, 1))
+        doc["config"].update(n_arms=16, plays=7, budget=8.0)
+        doc["environment"] = adversarial_doc(episode_rng(3, 2), t_max=4, n=16)
+        doc["policy"] = {"name": "exp3_mb", "g": "oracle"}
+        doc["replications"] = 1
+        cfg = write_json(tmp_path / "b.json", doc)
+        assert main(["bounds", "--config", cfg]) == 0
+        bounds = json.loads(capsys.readouterr().out)
+        assert main(["run", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert bounds["thm2"]["g"] == report["oracle_gain"] > 0
+        assert bounds["thm2"]["value"] == report["bound_values"]["thm2"]
 
     def test_bounds_stochastic_includes_thm1(self, tmp_path, capsys):
         doc = {

@@ -1,7 +1,7 @@
 """The exact adversarial oracle's block evaluation against naive play.
 
 The oracle evaluates subsets a block at a time; its block size comes from the
-private cell budget ``harness._ORACLE_CELLS``, which these tests shrink so that
+private cell budget ``harness._BLOCK_CELLS``, which these tests shrink so that
 small instances cross block boundaries.
 """
 
@@ -79,7 +79,7 @@ class TestBlocks:
             env = random_env(rng, 7, 3, budget)
             cfg = BanditConfig(n_arms=7, plays=3, budget=budget, c_min=0.5)
             # C(7, 3) = 35 subsets in 12 blocks of at most 3
-            monkeypatch.setattr(harness, "_ORACLE_CELLS", cells_for_block(3, env))
+            monkeypatch.setattr(harness, "_BLOCK_CELLS", cells_for_block(3, env))
             assert oracle_gain_adversarial(env, cfg) == naive_oracle(env, 3, cfg.budget)
 
     def test_winner_in_last_block(self, monkeypatch):
@@ -87,7 +87,7 @@ class TestBlocks:
         # subsets in blocks of 4 put it alone with (3, 4) and (3, 5) in the fourth
         env = column_env([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0.5] * 6, t_max=12)
         cfg = BanditConfig(n_arms=6, plays=2, budget=10.0, c_min=0.5)
-        monkeypatch.setattr(harness, "_ORACLE_CELLS", cells_for_block(4, env))
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", cells_for_block(4, env))
         assert oracle_gain_adversarial(env, cfg) == naive_oracle(env, 2, 10.0)
         assert oracle_gain_adversarial(env, cfg)[0] == (4, 5)
 
@@ -95,7 +95,7 @@ class TestBlocks:
         # arms 1 and 2 tie for best; blocks of 2 put them in different blocks
         env = column_env([0.1, 0.8, 0.8, 0.2], [0.5] * 4, t_max=12)
         cfg = BanditConfig(n_arms=4, plays=1, budget=5.0, c_min=0.5)
-        monkeypatch.setattr(harness, "_ORACLE_CELLS", cells_for_block(2, env))
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", cells_for_block(2, env))
         a_star, g_max = oracle_gain_adversarial(env, cfg)
         assert a_star == (1,)
         assert g_max == naive_play(env, (2,), 5.0)[0]
@@ -105,7 +105,7 @@ class TestBlocks:
         # blocks of 2 put it in the second block
         env = column_env([0.5] * 4, [1.0, 1.0, 1.0, 0.1], t_max=6)
         cfg = BanditConfig(n_arms=4, plays=1, budget=3.0, c_min=0.1)
-        monkeypatch.setattr(harness, "_ORACLE_CELLS", cells_for_block(2, env))
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", cells_for_block(2, env))
         assert simulate_fixed_subset(env, (1,), 3.0) == 1.5
         with pytest.raises(ConfigError, match="exhausted"):
             oracle_gain_adversarial(env, cfg)
@@ -116,7 +116,7 @@ class TestBlocks:
             env = random_env(rng, 5, 2, budget=8.0)
             cfg = BanditConfig(n_arms=5, plays=2, budget=8.0, c_min=0.5)
             default = oracle_gain_adversarial(env, cfg)
-            monkeypatch.setattr(harness, "_ORACLE_CELLS", env.t_max // 2)
+            monkeypatch.setattr(harness, "_BLOCK_CELLS", env.t_max // 2)
             assert oracle_gain_adversarial(env, cfg) == default == naive_oracle(env, 2, 8.0)
             monkeypatch.undo()
 
@@ -164,7 +164,7 @@ def oracle_instances(draw):
 @given(oracle_instances())
 def test_exact_oracle_is_the_first_best_simulated_subset(instance):
     env, cfg, cells = instance
-    with mock.patch.object(harness, "_ORACLE_CELLS", cells):
+    with mock.patch.object(harness, "_BLOCK_CELLS", cells):
         a_star, g_max = oracle_gain_adversarial(env, cfg)
     gains = {s: simulate_fixed_subset(env, s, cfg.budget)
              for s in combinations(range(cfg.n_arms), cfg.plays)}
