@@ -2,7 +2,8 @@
 
 Subcommands:
   run    -- execute a run specification and emit a regret report as JSON
-  bounds -- evaluate every applicable theoretical bound for a specification
+  bounds -- the theoretical bounds that run attaches to its report, under the
+            same flat keys, without playing any episode
   lbenv  -- materialize a lower-bound adversarial instance as JSON
   sweep  -- regret-versus-budget table as CSV
 
@@ -16,26 +17,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 from typing import Optional
 
 from . import bounds as bounds_mod
 from . import serialize
-from .core import (
-    AdversarialEnv,
-    ConfigError,
-    StochasticEnv,
-    env_to_dict,
-    episode_rng,
-    validate_config,
-)
+from .core import ConfigError, env_to_dict, episode_rng
 from .harness import (
     ENV_STREAM,
     RunSpec,
-    materialize_environment,
-    oracle_gain_adversarial,
+    applicable_bounds,
+    prepare,
     run_replications,
     run_spec_from_dict,
 )
@@ -96,36 +89,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     spec = _spec_with_seed(_load_config(args.config), args.seed)
-    cfg = validate_config(spec.config)
-    env = materialize_environment(spec)
-    out: dict = {}
-    if isinstance(env, StochasticEnv) and cfg.plays < cfg.n_arms:
-        params = bounds_mod.StochasticBoundParams.from_env(env, cfg.plays)
-        thm1 = bounds_mod.thm1_bound(params, cfg.budget)
-        out["thm1"] = {"value": thm1.value, "constituents": thm1.constituents}
-    g = spec.policy.g
-    if isinstance(env, AdversarialEnv):
-        subsets = math.comb(cfg.n_arms, cfg.plays)
-        if g == "oracle" or (g is None and subsets <= 10 ** 4):
-            # the mode run uses, so that both report the same g
-            mode = "exact" if subsets <= bounds_mod.ENUMERATION_LIMIT else "greedy"
-            _, g = oracle_gain_adversarial(env, cfg, mode=mode)
-    if isinstance(g, (int, float)) and g > 0:
-        out["thm2"] = {"value": bounds_mod.thm2_bound(float(g), cfg.budget, cfg.n_arms,
-                                                      cfg.plays, cfg.c_min), "g": float(g)}
-        if float(g) >= cfg.budget - cfg.plays:
-            out["prop1"] = {"value": bounds_mod.prop1_bound(float(g), cfg.budget,
-                                                            cfg.n_arms, cfg.plays, cfg.c_min)}
-    if cfg.plays < cfg.n_arms:
-        lb = bounds_mod.thm3_lower_bound(cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min)
-        out["thm3_lower"] = {"value": lb.value, "eps": lb.eps}
-    if cfg.horizon is not None and cfg.n_arms > 1:
-        out["thm4"] = {"value": bounds_mod.thm4_bound(cfg.n_arms, cfg.plays,
-                                                      cfg.horizon, cfg.confidence)}
-    if cfg.n_arms > 1:
-        out["thm5"] = {"value": bounds_mod.thm5_bound(cfg.n_arms, cfg.plays, cfg.budget,
-                                                      cfg.c_min, cfg.confidence)}
-    _emit(serialize.dumps(out), args.out)
+    _emit(serialize.dumps(applicable_bounds(spec, prepare(spec))), args.out)
     return 0
 
 

@@ -1,9 +1,8 @@
 """Episode runner, exact oracles, and regret aggregation over replications.
 
-Replications are embarrassingly parallel: replication i derives its own
-random stream from (base_seed, i + 1), stream 0 being reserved for one-off
-environment materialization, and results are folded in replication order, so
-reports do not depend on scheduling.
+Replication i derives its own random stream from (base_seed, i + 1), stream
+0 being reserved for one-off environment materialization, and results are
+folded in replication order.
 
 The exact adversarial oracle evaluates subsets in lexicographic blocks. For a
 block of m subsets it builds the (T_max + 1, m) matrix whose row 0 is the
@@ -29,16 +28,20 @@ first negative row as that budget's terminating round, and reads the gain and
 the spend off add accumulates of the round totals just before it. These are
 the operations the policies perform, so every budget's gain and stopping time
 are bit for bit those of a separate run at that budget. Oracles, bounds and
-environment checks still run per budget. Policies that read B (exp3_mb tuned
-by g, exp3_pm, exp3_pmb) and lower-bound instances, whose eps and T_max
-follow B, rerun their replications for each budget.
+environment checks still run per budget. exp3_pm plays a fixed horizon and
+its oracle and bound ignore B, so on a stochastic or adversarial environment
+its replications are played once and shared by every budget. Policies that
+read B (exp3_mb tuned by g, exp3_pmb) and lower-bound instances, whose eps and
+T_max follow B, rerun their replications for each budget.
+
+applicable_bounds decides which bounds apply, for run reports, the CLI's
+bounds command and sweeps alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence, Union
 
@@ -69,6 +72,13 @@ from .exp3 import (
 from .ucb import ucb_run_episode
 
 POLICY_NAMES = ("ucb_mb", "exp3_mb", "exp3_1_mb", "exp3_pm", "exp3_pmb")
+
+# the upper bound proved for each policy: Thm 1, Thm 2, Prop 1, Thm 4, Thm 5
+# (Thm 3 is the lower bound); sweep's bound column reads it, and so does the
+# violation fraction of the high-probability policies
+_OWN_BOUND = {"ucb_mb": "thm1", "exp3_mb": "thm2", "exp3_1_mb": "prop1",
+              "exp3_pm": "thm4", "exp3_pmb": "thm5"}
+_HIGH_PROBABILITY = ("exp3_pm", "exp3_pmb")
 
 ENV_STREAM = 0  # replication i uses stream i + 1
 
@@ -117,13 +127,10 @@ class RunSpec:
     environment: Environment
     replications: int = 1
     base_seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -343,11 +350,10 @@ def _validate_env(cfg: BanditConfig, env: Union[StochasticEnv, AdversarialEnv],
 def run_episode(policy: PolicySpec, cfg: BanditConfig,
                 env: Union[StochasticEnv, AdversarialEnv],
                 rng: np.random.Generator, record: bool = False,
-                gamma: Optional[float] = None,
-                oracle_arms: Optional[Sequence[int]] = None) -> EpisodeTrace:
+                gamma: Optional[float] = None) -> EpisodeTrace:
     """Run a single episode of the given policy (gamma already resolved)."""
     if policy.name == "ucb_mb":
-        return ucb_run_episode(cfg, env, rng, oracle_arms=oracle_arms, record=record)
+        return ucb_run_episode(cfg, env, rng, record=record)
     if policy.name == "exp3_mb":
         return exp3mb_run_episode(cfg, env, rng, gamma=gamma, record=record)
     if policy.name == "exp3_1_mb":
@@ -426,43 +432,49 @@ def _resolve_gamma(spec: RunSpec, oracle_gain: float) -> tuple[Optional[float], 
     return tune_gamma_mb(g, cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min), g
 
 
-def _attach_bounds(spec: RunSpec, env, oracle_gain: float, g_used: Optional[float]) -> dict:
-    """Every applicable bound; a bound whose preconditions fail on this
-    instance (zero gap, gain below B - K, ...) is simply omitted."""
-    cfg = spec.config
+def applicable_bounds(spec: RunSpec, prep: Prepared) -> dict:
+    """Every bound that applies to the spec's policy on the prepared instance.
+
+    Keys are flat and sorted: the policy's own bound (_OWN_BOUND) with
+    thm1_constituents or thm2_g beside it, and thm3_lower for the adversarial
+    policies. A bound whose preconditions fail on this instance (zero gap,
+    gain below B - K, a single arm, ...) is simply omitted. Run reports
+    attach this dict and the CLI's bounds command prints it.
+    """
+    cfg = prep.cfg
     name = spec.policy.name
     out: dict = {}
     if name == "ucb_mb" and cfg.plays < cfg.n_arms:
         try:
-            params = bounds_mod.StochasticBoundParams.from_env(env, cfg.plays)
+            params = bounds_mod.StochasticBoundParams.from_env(prep.env, cfg.plays)
             thm1 = bounds_mod.thm1_bound(params, cfg.budget)
             out["thm1"] = thm1.value
             out["thm1_constituents"] = thm1.constituents
         except ValueError:
             pass
     elif name == "exp3_mb":
-        g = g_used if g_used is not None else oracle_gain
+        g = prep.g_used if prep.g_used is not None else prep.oracle_gain
         if g > 0.0:
             out["thm2"] = bounds_mod.thm2_bound(g, cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min)
             out["thm2_g"] = g
-    elif name == "exp3_1_mb" and isinstance(env, AdversarialEnv):
-        if oracle_gain >= cfg.budget - cfg.plays:
-            out["prop1"] = bounds_mod.prop1_bound(oracle_gain, cfg.budget, cfg.n_arms,
+    elif name == "exp3_1_mb" and isinstance(prep.env, AdversarialEnv):
+        if prep.oracle_gain >= cfg.budget - cfg.plays:
+            out["prop1"] = bounds_mod.prop1_bound(prep.oracle_gain, cfg.budget, cfg.n_arms,
                                                   cfg.plays, cfg.c_min)
-    elif name == "exp3_pm":
+    elif name == "exp3_pm" and cfg.n_arms > 1:
         out["thm4"] = bounds_mod.thm4_bound(cfg.n_arms, cfg.plays, cfg.horizon, cfg.confidence)
-    elif name == "exp3_pmb":
+    elif name == "exp3_pmb" and cfg.n_arms > 1:
         out["thm5"] = bounds_mod.thm5_bound(cfg.n_arms, cfg.plays, cfg.budget,
                                             cfg.c_min, cfg.confidence)
     if name != "ucb_mb" and cfg.plays < cfg.n_arms:
         out["thm3_lower"] = bounds_mod.thm3_lower_bound(
             cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min).value
-    return out
+    return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)
-class _Prepared:
-    """What a spec's episodes and report need beyond the spec itself."""
+class Prepared:
+    """What a spec's episodes, bounds and report need beyond the spec itself."""
 
     cfg: BanditConfig
     env: Union[StochasticEnv, AdversarialEnv]
@@ -474,7 +486,12 @@ class _Prepared:
     g_used: Optional[float]
 
 
-def _prepare(spec: RunSpec) -> _Prepared:
+def prepare(spec: RunSpec) -> Prepared:
+    """Check the spec, materialize its environment, and compute its oracle and gamma.
+
+    Raises ConfigError on a bad config, an environment that does not fit it,
+    or a policy that cannot run on it.
+    """
     cfg = validate_config(spec.config)
     env = materialize_environment(spec)
     _validate_env(cfg, env, spec.policy)
@@ -482,27 +499,38 @@ def _prepare(spec: RunSpec) -> _Prepared:
         warn_if_irrational(env, cfg.plays)
     a_star, oracle_gain, oracle_mode, brackets = _oracle_for(spec, env)
     gamma, g_used = _resolve_gamma(spec, oracle_gain)
-    return _Prepared(cfg, env, a_star, oracle_gain, oracle_mode, brackets, gamma, g_used)
+    return Prepared(cfg, env, a_star, oracle_gain, oracle_mode, brackets, gamma, g_used)
 
 
-def _episode(spec: RunSpec, prep: _Prepared, i: int, record: bool) -> EpisodeTrace:
+def _episode(spec: RunSpec, prep: Prepared, i: int, record: bool) -> EpisodeTrace:
     """Replication i of the spec, on its own stream."""
-    oracle_arms = prep.oracle_arms if spec.policy.name == "ucb_mb" else None
     return run_episode(spec.policy, prep.cfg, prep.env, episode_rng(spec.base_seed, i + 1),
-                       record=record, gamma=prep.gamma, oracle_arms=oracle_arms)
+                       record=record, gamma=prep.gamma)
 
 
-def _report(spec: RunSpec, prep: _Prepared, per_rep: list[tuple[float, int]]) -> RegretReport:
+def _play(spec: RunSpec, prep: Prepared, record: bool = False,
+          traces_out: Optional[list[EpisodeTrace]] = None) -> list[tuple[float, int]]:
+    """(gain, stopping_time) of each replication, in replication order."""
+    per_rep = []
+    for i in range(spec.replications):
+        trace = _episode(spec, prep, i, record)
+        per_rep.append((float(trace.gain), int(trace.stopping_time)))
+        if traces_out is not None:
+            traces_out.append(trace)
+    return per_rep
+
+
+def _report(spec: RunSpec, prep: Prepared, per_rep: list[tuple[float, int]]) -> RegretReport:
     """Fold the replications' (gain, stopping_time) pairs into the spec's report."""
     gains = np.array([g for g, _ in per_rep])
     mean_gain = float(gains.mean())
     std_error = float(gains.std(ddof=1) / math.sqrt(len(gains))) if len(gains) > 1 else 0.0
 
-    bound_values = _attach_bounds(spec, prep.env, prep.oracle_gain, prep.g_used)
+    bound_values = applicable_bounds(spec, prep)
     violation = None
-    key = {"exp3_pm": "thm4", "exp3_pmb": "thm5"}.get(spec.policy.name)
-    if key is not None and key in bound_values:
-        violation = float(np.mean(prep.oracle_gain - gains > bound_values[key]))
+    own = _OWN_BOUND[spec.policy.name]
+    if spec.policy.name in _HIGH_PROBABILITY and own in bound_values:
+        violation = float(np.mean(prep.oracle_gain - gains > bound_values[own]))
 
     return RegretReport(
         policy=spec.policy.name,
@@ -526,22 +554,8 @@ def run_replications(spec: RunSpec, record: bool = False,
     ``traces_out``, if given, receives every episode trace in replication
     order (pass record=True to keep per-round rows).
     """
-    prep = _prepare(spec)
-
-    def one(i: int) -> EpisodeTrace:
-        return _episode(spec, prep, i, record)
-
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            traces = list(pool.map(one, range(spec.replications)))
-    else:
-        traces = map(one, range(spec.replications))
-    per_rep = []
-    for trace in traces:
-        per_rep.append((float(trace.gain), int(trace.stopping_time)))
-        if traces_out is not None:
-            traces_out.append(trace)
-    return _report(spec, prep, per_rep)
+    prep = prepare(spec)
+    return _report(spec, prep, _play(spec, prep, record, traces_out))
 
 
 def _is_anytime(spec: RunSpec) -> bool:
@@ -553,32 +567,44 @@ def _is_anytime(spec: RunSpec) -> bool:
     return not reads_budget and not isinstance(spec.environment, LowerBoundSpec)
 
 
+def _ignores_budget(spec: RunSpec) -> bool:
+    """Whether the spec's episodes are the same at every budget: the
+    fixed-horizon policy on an environment that does not read B."""
+    return spec.policy.name == "exp3_pm" and not isinstance(spec.environment, LowerBoundSpec)
+
+
 def _budget_reports(spec: RunSpec, budgets: Sequence[float]) -> list[RegretReport]:
     """One report per budget, in the order given.
 
-    An anytime spec runs each replication once, at the largest budget, and
+    Every budget is prepared, and so checked, as a run at it would be. An
+    anytime spec runs each replication once, at the largest budget, and
     reads every budget's gain and stopping time off that episode's round
-    totals (_checkpoints). Oracles, bounds and checks stay per budget.
+    totals (_checkpoints); a spec that ignores B plays its replications once
+    for all budgets; any other spec plays them at each budget.
     """
     specs = [replace(spec, config=replace(spec.config, budget=float(b))) for b in budgets]
-    if not _is_anytime(spec):
-        return [run_replications(sub) for sub in specs]
-    preps = [_prepare(sub) for sub in specs]
-    values = np.array([prep.cfg.budget for prep in preps])
-    top = int(values.argmax())
-    gains = np.empty((spec.replications, values.size))
-    stops = np.empty((spec.replications, values.size), dtype=np.intp)
-    for i in range(spec.replications):
-        trace = _episode(specs[top], preps[top], i, record=False)
-        gains[i], stops[i], _ = _checkpoints(trace.round_costs, trace.round_rewards, values)
-    return [_report(sub, prep, list(zip(gains[:, j].tolist(), stops[:, j].tolist())))
-            for j, (sub, prep) in enumerate(zip(specs, preps))]
+    preps = [prepare(sub) for sub in specs]
+    if _is_anytime(spec):
+        values = np.array([prep.cfg.budget for prep in preps])
+        top = int(values.argmax())
+        gains = np.empty((spec.replications, values.size))
+        stops = np.empty((spec.replications, values.size), dtype=np.intp)
+        for i in range(spec.replications):
+            trace = _episode(specs[top], preps[top], i, record=False)
+            gains[i], stops[i], _ = _checkpoints(trace.round_costs, trace.round_rewards, values)
+        per_reps = [list(zip(gains[:, j].tolist(), stops[:, j].tolist()))
+                    for j in range(values.size)]
+    elif _ignores_budget(spec):
+        per_reps = [_play(specs[0], preps[0])] * len(specs)
+    else:
+        per_reps = [_play(sub, prep) for sub, prep in zip(specs, preps)]
+    return [_report(sub, prep, per_rep) for sub, prep, per_rep in zip(specs, preps, per_reps)]
 
 
 def sweep(spec: RunSpec, budgets: Sequence[float]) -> list[dict]:
-    """Regret-versus-budget rows for the CSV sweep output."""
-    primary = {"ucb_mb": "thm1", "exp3_mb": "thm2", "exp3_1_mb": "prop1",
-               "exp3_pm": "thm4", "exp3_pmb": "thm5"}[spec.policy.name]
+    """Regret-versus-budget rows for the CSV sweep output; ``bound`` is the
+    policy's own bound at that budget, None where it does not apply."""
+    own = _OWN_BOUND[spec.policy.name]
     return [{
         "budget": float(budget),
         "policy": spec.policy.name,
@@ -586,7 +612,7 @@ def sweep(spec: RunSpec, budgets: Sequence[float]) -> list[dict]:
         "oracle_gain": report.oracle_gain,
         "mean_regret": report.mean_regret,
         "std_error": report.regret_std_error,
-        "bound": report.bound_values.get(primary),
+        "bound": report.bound_values.get(own),
     } for budget, report in zip(budgets, _budget_reports(spec, budgets))]
 
 
@@ -612,7 +638,6 @@ def run_spec_to_dict(spec: RunSpec) -> dict:
         "environment": env_doc,
         "replications": spec.replications,
         "base_seed": spec.base_seed,
-        "workers": spec.workers,
     }
 
 
@@ -647,7 +672,6 @@ def run_spec_from_dict(doc: dict) -> RunSpec:
             environment=environment,
             replications=int(doc.get("replications", 1)),
             base_seed=int(doc.get("base_seed", 0)),
-            workers=int(doc.get("workers", 1)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

@@ -139,7 +139,9 @@ def ucb_run_episode(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Genera
     Loop: select the K best arms, observe, terminate if the round's cost
     exceeds the remaining budget (without crediting that round), otherwise pay,
     credit, and update. The all-arms initialization is round 1 and is charged
-    identically.
+    identically. Attaching ``oracle_arms`` keeps the suboptimal-play counters,
+    whose tie-break draws from ``rng``: the episode then differs from one
+    without them.
     """
     validate_config(cfg)
     if env.n_arms != cfg.n_arms:

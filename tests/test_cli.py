@@ -102,15 +102,59 @@ class TestRun:
         assert main(["run", "--config", "/nonexistent/nope.json"]) == 2
 
 
+def stochastic_doc(mean_rewards=(0.9, 0.8, 0.5, 0.4)):
+    return {"type": "stochastic", "family": "bernoulli_scaled",
+            "mean_rewards": list(mean_rewards), "mean_costs": [0.6] * 4, "c_min": 0.5}
+
+
+BOUND_POLICIES = {
+    "ucb_mb": {"name": "ucb_mb"},
+    "exp3_mb": {"name": "exp3_mb", "gamma": 0.3},
+    "exp3_1_mb": {"name": "exp3_1_mb"},
+    "exp3_pm": {"name": "exp3_pm"},
+    "exp3_pmb": {"name": "exp3_pmb"},
+}
+BOUND_ENVIRONMENTS = {
+    "stochastic": stochastic_doc,
+    "adversarial": lambda: adversarial_doc(episode_rng(8, 1)),
+    "lower_bound": lambda: {"type": "lower_bound", "eps": None, "good_set": None},
+}
+
+
+def bounds_doc(policy, environment):
+    doc = run_doc(episode_rng(8, 2))
+    doc["policy"] = dict(BOUND_POLICIES[policy])
+    doc["environment"] = environment
+    doc["replications"] = 1
+    if policy == "exp3_pm":
+        doc["config"]["horizon"] = 8
+    return doc
+
+
+def bounds_and_run(tmp_path, capsys, doc):
+    """(exit code, parsed output) of bounds, then of run, on one config."""
+    cfg = write_json(tmp_path / "c.json", doc)
+    outcomes = []
+    for command in ("bounds", "run"):
+        code = main([command, "--config", cfg])
+        out = capsys.readouterr().out
+        outcomes.append((code, json.loads(out) if code == 0 else None))
+    return outcomes
+
+
 class TestBounds:
     def test_bounds_json(self, tmp_path, capsys):
         doc = run_doc(episode_rng(2, 1))
         cfg = write_json(tmp_path / "b.json", doc)
         assert main(["bounds", "--config", cfg]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["thm2"]["value"] > 0
-        assert out["thm3_lower"]["value"] > 0
-        assert out["thm5"]["value"] > 0
+        assert out["thm2"] > 0
+        assert out["thm3_lower"] > 0
+        doc["policy"] = {"name": "exp3_pmb"}
+        cfg = write_json(tmp_path / "pmb.json", doc)
+        assert main(["bounds", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["thm5"] > 0
 
     def test_bounds_follow_the_policy_g(self, tmp_path, capsys):
         doc = run_doc(episode_rng(2, 1))
@@ -120,12 +164,12 @@ class TestBounds:
         bounds = json.loads(capsys.readouterr().out)
         assert main(["run", "--config", cfg]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert bounds["thm2"]["g"] == 50.0
-        assert bounds["thm2"]["g"] == report["bound_values"]["thm2_g"]
-        assert bounds["thm2"]["value"] == report["bound_values"]["thm2"]
+        assert bounds["thm2_g"] == 50.0
+        assert bounds["thm2_g"] == report["bound_values"]["thm2_g"]
+        assert bounds["thm2"] == report["bound_values"]["thm2"]
 
     def test_bounds_oracle_g_above_ten_thousand_subsets(self, tmp_path, capsys):
-        # C(16, 7) = 11440 subsets: the oracle is only computed when asked for
+        # C(16, 7) = 11440 subsets, enumerated exactly, as run does
         doc = run_doc(episode_rng(3, 1))
         doc["config"].update(n_arms=16, plays=7, budget=8.0)
         doc["environment"] = adversarial_doc(episode_rng(3, 2), t_max=4, n=16)
@@ -136,8 +180,8 @@ class TestBounds:
         bounds = json.loads(capsys.readouterr().out)
         assert main(["run", "--config", cfg]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert bounds["thm2"]["g"] == report["oracle_gain"] > 0
-        assert bounds["thm2"]["value"] == report["bound_values"]["thm2"]
+        assert bounds["thm2_g"] == report["oracle_gain"] > 0
+        assert bounds["thm2"] == report["bound_values"]["thm2"]
 
     def test_bounds_stochastic_includes_thm1(self, tmp_path, capsys):
         doc = {
@@ -153,7 +197,49 @@ class TestBounds:
         assert main(["bounds", "--config", cfg]) == 0
         out = json.loads(capsys.readouterr().out)
         assert "thm1" in out
-        assert out["thm1"]["constituents"]["gamma_const"] > 0
+        assert out["thm1_constituents"]["gamma_const"] > 0
+
+    @pytest.mark.parametrize("env_kind", sorted(BOUND_ENVIRONMENTS))
+    @pytest.mark.parametrize("policy", sorted(BOUND_POLICIES))
+    @pytest.mark.filterwarnings("ignore:.*reward-covers-cost")
+    def test_bounds_equal_run_bound_values(self, tmp_path, capsys, policy, env_kind):
+        doc = bounds_doc(policy, BOUND_ENVIRONMENTS[env_kind]())
+        (bounds_code, bounds), (run_code, report) = bounds_and_run(tmp_path, capsys, doc)
+        assert bounds_code == run_code == (2 if (policy, env_kind) in (
+            ("ucb_mb", "adversarial"), ("ucb_mb", "lower_bound")) else 0)
+        if run_code == 0:
+            assert bounds == report["bound_values"]
+
+    @pytest.mark.parametrize("case", ["zero_gap", "above_ten_thousand_subsets",
+                                      "single_arm_exp3_pm", "single_arm_exp3_pmb"])
+    def test_bounds_equal_run_bound_values_at_the_edges(self, tmp_path, capsys, case):
+        if case == "zero_gap":
+            # every ratio equal: Thm 1 needs a positive gap and is omitted
+            doc = bounds_doc("ucb_mb", stochastic_doc(mean_rewards=[0.6] * 4))
+        elif case == "above_ten_thousand_subsets":
+            # C(16, 7) = 11440 subsets, exp3_mb given gamma: thm2 takes the oracle gain
+            doc = bounds_doc("exp3_mb", adversarial_doc(episode_rng(3, 2), t_max=4, n=16))
+            doc["config"].update(n_arms=16, plays=7, budget=8.0)
+        else:
+            # Thms 4 and 5 are undefined for one arm and are omitted
+            doc = bounds_doc(case[len("single_arm_"):], adversarial_doc(episode_rng(3, 3), n=1))
+            doc["config"].update(n_arms=1, plays=1)
+        (bounds_code, bounds), (run_code, report) = bounds_and_run(tmp_path, capsys, doc)
+        assert bounds_code == run_code == 0
+        assert bounds == report["bound_values"]
+        assert ("thm2" in bounds) == (case == "above_ten_thousand_subsets")
+
+    @pytest.mark.parametrize("breakage", ["ucb_on_adversarial", "arm_count_mismatch"])
+    def test_bounds_exit_2_where_run_does(self, tmp_path, capsys, breakage):
+        doc = run_doc(episode_rng(2, 1))
+        if breakage == "ucb_on_adversarial":
+            doc["policy"] = {"name": "ucb_mb"}
+        else:
+            doc["config"]["n_arms"] = 5  # the matrices have 4 arms
+        cfg = write_json(tmp_path / "bad.json", doc)
+        for command in ("bounds", "run"):
+            assert main([command, "--config", cfg]) == 2
+            assert "config error" in capsys.readouterr().err
 
 
 class TestLbenv:

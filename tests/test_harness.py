@@ -17,6 +17,7 @@ from budgetbandits import (
     oracle_gain_stochastic,
     run_replications,
     simulate_fixed_subset,
+    ucb_run_episode,
 )
 from budgetbandits.harness import materialize_environment, run_spec_from_dict, run_spec_to_dict
 from budgetbandits.serialize import dumps
@@ -159,14 +160,16 @@ class TestRunReplications:
         b = dumps(run_replications(spec).to_dict())
         assert a == b
 
-    def test_workers_do_not_change_results(self):
-        rng = episode_rng(93, 1)
-        env = AdversarialEnv(rewards=rng.random((25, 4)),
-                             costs=0.5 + 0.5 * rng.random((25, 4)))
-        cfg = BanditConfig(n_arms=4, plays=2, budget=10.0, c_min=0.5)
-        serial = RunSpec(cfg, PolicySpec("exp3_mb", gamma=0.3), env, 6, 13, workers=1)
-        threaded = RunSpec(cfg, PolicySpec("exp3_mb", gamma=0.3), env, 6, 13, workers=3)
-        assert dumps(run_replications(serial).to_dict()) == dumps(run_replications(threaded).to_dict())
+    def test_ucb_replications_are_plain_episodes(self):
+        # reporting must not change what the policy plays: replication i is
+        # ucb_run_episode on stream i + 1, bit for bit
+        cfg = BanditConfig(n_arms=4, plays=2, budget=300.0, c_min=0.5)
+        env = StochasticEnv(mean_rewards=[0.9, 0.8, 0.6, 0.5],
+                            mean_costs=[0.5, 0.7, 0.6, 0.9], c_min=0.5)
+        report = run_replications(RunSpec(cfg, PolicySpec("ucb_mb"), env, 8, 3))
+        for i, (gain, stop) in enumerate(report.per_replication):
+            alone = ucb_run_episode(cfg, env, episode_rng(3, i + 1), record=False)
+            assert (gain.hex(), stop) == (float(alone.gain).hex(), alone.stopping_time)
 
     def test_mean_regret_statistical_sanity(self):
         # a randomized policy can beat the best fixed subset on a sample path,

@@ -11,6 +11,7 @@ import pytest
 from budgetbandits import (
     AdversarialEnv,
     BanditConfig,
+    ConfigError,
     Family,
     LowerBoundSpec,
     PolicySpec,
@@ -82,7 +83,7 @@ def test_checkpoints_equal_separate_episodes(case):
     policy, environment = ANYTIME[case]
     budgets = np.array(BUDGETS)
     top = spec_at(policy, environment, max(BUDGETS), 5)
-    prep = harness._prepare(top)
+    prep = harness.prepare(top)
     for i in range(top.replications):
         trace = harness._episode(top, prep, i, record=False)
         assert len(trace.round_costs) == len(trace.round_rewards) == trace.stopping_time
@@ -90,7 +91,7 @@ def test_checkpoints_equal_separate_episodes(case):
                                                    budgets)
         for j, budget in enumerate(BUDGETS):
             sub = spec_at(policy, environment, budget, 5)
-            alone = harness._episode(sub, harness._prepare(sub), i, record=False)
+            alone = harness._episode(sub, harness.prepare(sub), i, record=False)
             assert float(gains[j]).hex() == alone.gain.hex()
             assert int(stops[j]) == alone.stopping_time
             assert float(spent[j]).hex() == float(alone.budget_spent).hex()
@@ -100,7 +101,7 @@ def test_checkpoints_across_blocks(monkeypatch):
     # one budget per block: the columns are evaluated block by block
     policy, environment = ANYTIME["exp3_mb-adversarial"]
     top = spec_at(policy, environment, max(BUDGETS), 6, replications=1)
-    trace = harness._episode(top, harness._prepare(top), 0, record=False)
+    trace = harness._episode(top, harness.prepare(top), 0, record=False)
     budgets = np.array(BUDGETS)
     whole = harness._checkpoints(trace.round_costs, trace.round_rewards, budgets)
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 1)
@@ -112,7 +113,7 @@ def test_checkpoints_across_blocks(monkeypatch):
 def test_checkpoints_reject_a_budget_beyond_the_episode():
     policy, environment = ANYTIME["exp3_mb-adversarial"]
     top = spec_at(policy, environment, 7.0, 7, replications=1)
-    trace = harness._episode(top, harness._prepare(top), 0, record=False)
+    trace = harness._episode(top, harness.prepare(top), 0, record=False)
     with pytest.raises(ValueError, match="outlasts"):
         harness._checkpoints(trace.round_costs, trace.round_rewards, np.array([7.0, 40.0]))
 
@@ -157,12 +158,35 @@ def test_per_budget_specs_rerun_each_budget(monkeypatch, case):
     assert played == [8.0, 8.0, 16.0, 16.0, 4.0, 4.0]
 
 
-def test_fixed_horizon_policy_reruns_each_budget(monkeypatch):
-    cfg = BanditConfig(n_arms=N, plays=K, budget=8.0, c_min=C_MIN, horizon=5)
-    spec = RunSpec(cfg, PolicySpec("exp3_pm"), adversarial(64), replications=2, base_seed=1)
+def fixed_horizon(environment, budget=8.0):
+    cfg = BanditConfig(n_arms=N, plays=K, budget=budget, c_min=C_MIN, horizon=5)
+    return RunSpec(cfg, PolicySpec("exp3_pm"), environment, replications=2, base_seed=1)
+
+
+@pytest.mark.parametrize("environment", [adversarial(64), stochastic(Family.BETA_SCALED)],
+                         ids=["adversarial", "stochastic"])
+def test_fixed_horizon_policy_plays_once(monkeypatch, environment):
+    # neither exp3_pm, its fixed-horizon oracle nor thm4 reads B
+    spec = fixed_horizon(environment)
     assert not harness._is_anytime(spec)
-    played = episode_budgets(monkeypatch, spec, (8.0, 16.0))
-    assert played == [8.0, 8.0, 16.0, 16.0]
+    budgets = (8.0, 16.0, 4.0)
+    assert episode_budgets(monkeypatch, spec, budgets) == [8.0, 8.0]
+    monkeypatch.undo()
+    for budget, report in zip(budgets, harness._budget_reports(spec, budgets)):
+        alone = run_replications(fixed_horizon(environment, budget))
+        assert dumps(report.to_dict()) == dumps(alone.to_dict())
+
+
+def test_fixed_horizon_policy_reruns_each_budget_on_lower_bound_instances(monkeypatch):
+    # the instance itself follows B
+    spec = fixed_horizon(LowerBoundSpec(eps=0.1))
+    assert episode_budgets(monkeypatch, spec, (8.0, 16.0)) == [8.0, 8.0, 16.0, 16.0]
+
+
+@pytest.mark.parametrize("budgets", [(8.0, -1.0), (8.0, float("nan"))])
+def test_fixed_horizon_policy_checks_every_budget(budgets):
+    with pytest.raises(ConfigError):
+        harness.sweep(fixed_horizon(adversarial(64)), budgets)
 
 
 def test_sweep_rows_follow_the_input_order():
