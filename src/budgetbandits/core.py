@@ -237,15 +237,13 @@ class EpisodeTrace:
     round_costs: array = field(default_factory=lambda: array("d"))
     round_rewards: array = field(default_factory=lambda: array("d"))
 
-    def play(self, t: int, outcome: RoundOutcome, remaining: float,
-             probabilities: Optional[np.ndarray], record: bool) -> float:
-        """Charge round ``t`` against ``remaining`` and return what is left.
+    def play(self, t: int, cost: float, reward: float, remaining: float) -> float:
+        """Charge round ``t``'s cost and reward totals against ``remaining``
+        and return what is left.
 
         A round whose cost exceeds ``remaining`` ends the episode: it becomes
         the stopping time and is neither credited nor charged.
         """
-        cost = outcome.cost
-        reward = outcome.reward
         self.round_costs.append(cost)
         self.round_rewards.append(reward)
         if cost > remaining:
@@ -254,9 +252,6 @@ class EpisodeTrace:
             remaining -= cost
             self.budget_spent += cost
             self.gain += reward
-        if record:
-            self.rounds.append(RoundRecord(t, outcome.arms, outcome.rewards, outcome.costs,
-                                           probabilities, remaining))
         return remaining
 
 
@@ -286,7 +281,12 @@ def _check_arms(arms: Sequence[int], n_arms: int) -> tuple[int, ...]:
 def sample_round(env: StochasticEnv, arms: Sequence[int], rng: np.random.Generator) -> RoundOutcome:
     """Draw one round of independent rewards and costs for the given arms."""
     idx = _check_arms(arms, env.n_arms)
-    a = np.asarray(idx, dtype=np.intp)
+    return RoundOutcome(idx, *draw_round(env, np.asarray(idx, dtype=np.intp), rng))
+
+
+def draw_round(env: StochasticEnv, a: np.ndarray, rng: np.random.Generator,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(rewards, costs) of the distinct, in-range arms ``a``, drawn as sample_round draws them."""
     mr = env.mean_rewards[a]
     mc = env.mean_costs[a]
     if env.family is Family.BERNOULLI_SCALED:
@@ -298,7 +298,7 @@ def sample_round(env: StochasticEnv, arms: Sequence[int], rng: np.random.Generat
         rewards = _beta_on_unit(mr, env.beta_concentration, rng)
         frac = (mc - env.c_min) / (1.0 - env.c_min)
         costs = env.c_min + (1.0 - env.c_min) * _beta_on_unit(frac, env.beta_concentration, rng)
-    return RoundOutcome(idx, rewards, costs)
+    return rewards, costs
 
 
 def _beta_on_unit(mean: np.ndarray, concentration: float, rng: np.random.Generator) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Adversarial policies: exponential weights with exactly K plays per round.
 
-Four variants share one round engine (cap weights, map to probabilities, draw
-K arms by dependent rounding, observe, estimate, reweight):
+Four variants share one round (cap weights, map to probabilities, draw K
+arms by dependent rounding, observe, estimate, reweight):
 
 * budgeted   -- plays until the budget runs out; weight multiplier
   exp((K gamma / N)(rhat_i - chat_i)) for arms outside the capped set.
@@ -13,6 +13,22 @@ K arms by dependent rounding, observe, estimate, reweight):
 * high-probability, budgeted      -- budgeted play with the cost term and a
   confidence bonus alpha sqrt(K c_min) / (p_i sqrt(NB)).
 
+One lockstep round engine, play_lockstep, plays all four. Its episodes are
+the rows of one pass; all start at round 1, so live rows share the round
+index, and a row drops out when its episode ends. On (live rows, N) arrays
+run the max-shift, exponentials and cap test, the probabilities and their
+simplex check, and the high-probability rules' confidence fold and bonus; a
+row that caps is mapped by sampling.compute_cap for that row alone. Per row,
+on plain floats, run dependent rounding, the observation, the termination
+rule (EpisodeTrace.play), epoch restarts, and the estimates with their folds
+into the accumulators and the played arms' weights. Each row draws from its
+own generator just what its episode played alone draws, in the same order
+(one uniform per rounding step, then a stochastic round's rewards and
+costs), and every stage repeats per row the IEEE operations of the 1-d
+computation, so each row equals its lone episode bit for bit. The episode
+functions are the one-row case; exp3mb_round, estimate, exp3mb_weight_update
+and exp31mb_epoch_done are one-row calls of the same stages.
+
 Weights are stored and updated in the log domain; see the sampling module.
 """
 
@@ -20,9 +36,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,27 +49,32 @@ from .core import (
     EpisodeTrace,
     RoundOutcome,
     RoundRecord,
+    SequenceExhausted,
     StochasticEnv,
-    lookup_round,
-    sample_round,
+    draw_round,
+    sum_in_order,
     validate_config,
 )
 from .sampling import (
     ProbabilityVector,
     WeightVector,
+    _pairwise_steps,
+    _rounding_start,
+    cap_ratio,
     compute_cap,
     compute_probabilities,
-    dependent_rounding,
 )
 
 E = math.e
 
 
 class Variant(str, Enum):
-    MB = "mb"            # budgeted
-    ONE_MB = "one_mb"    # doubling-trick epochs over the budgeted subroutine
-    PM = "pm"            # high-probability, fixed horizon
-    PMB = "pmb"          # high-probability, budgeted
+    """The four policies, by their names in run specifications."""
+
+    MB = "exp3_mb"        # budgeted
+    ONE_MB = "exp3_1_mb"  # doubling-trick epochs over the budgeted subroutine
+    PM = "exp3_pm"        # high-probability, fixed horizon
+    PMB = "exp3_pmb"      # high-probability, budgeted
 
 
 @dataclass
@@ -64,33 +85,24 @@ class Exp3State:
     estimates Ghat_i / Lhat_i; sigma_acc accumulates the confidence widths of
     the high-probability variants. ``t`` is the global 1-based round counter
     (it keeps running across epoch restarts). ``conf_scale`` is the variant's
-    per-round confidence factor (1/sqrt(NT) or sqrt(K c_min)/sqrt(NB)).
+    per-round confidence factor (1/sqrt(NT) or sqrt(K c_min)/sqrt(NB)). The
+    engine keeps (rows, N) arrays and a (rows, 1) gamma, a row per episode.
     """
 
     log_weights: np.ndarray
-    gamma: float
+    gain_acc: np.ndarray
+    loss_acc: np.ndarray
+    sigma_acc: np.ndarray
+    gamma: float | np.ndarray
     variant: Variant
     n_arms: int
     plays: int
     alpha: Optional[float] = None
     conf_scale: Optional[float] = None
-    gain_acc: np.ndarray = field(default=None)  # type: ignore[assignment]
-    loss_acc: np.ndarray = field(default=None)  # type: ignore[assignment]
-    sigma_acc: np.ndarray = field(default=None)  # type: ignore[assignment]
     t: int = 1
-    epoch: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        n = self.n_arms
-        if self.gain_acc is None:
-            self.gain_acc = np.zeros(n)
-        if self.loss_acc is None:
-            self.loss_acc = np.zeros(n)
-        if self.sigma_acc is None:
-            self.sigma_acc = np.zeros(n)
 
     @property
-    def weight_rate(self) -> float:
+    def weight_rate(self) -> float | np.ndarray:
         """Multiplier of the estimate inside the weight exponent."""
         if self.variant in (Variant.MB, Variant.ONE_MB):
             return self.plays * self.gamma / self.n_arms
@@ -100,13 +112,118 @@ class Exp3State:
 def make_mb_state(cfg: BanditConfig, gamma: float) -> Exp3State:
     if not 0.0 < gamma <= 1.0:
         raise ConfigError("gamma must lie in (0, 1]")
-    return Exp3State(
-        log_weights=np.zeros(cfg.n_arms),
-        gamma=gamma,
-        variant=Variant.MB,
-        n_arms=cfg.n_arms,
-        plays=cfg.plays,
-    )
+    n = cfg.n_arms
+    return Exp3State(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), gamma, Variant.MB, n,
+                     cfg.plays)
+
+
+def _row_ratio(gamma: float, plays: int, n_arms: int) -> float:
+    """A row's cap-test ratio (sampling.cap_ratio): inf where capping never
+    applies (gamma = 1), 0 where every arm is capped (K = N)."""
+    if gamma == 1.0:
+        return math.inf
+    return 0.0 if plays == n_arms else cap_ratio(gamma, plays, n_arms)
+
+
+def _probabilities(log_weights: np.ndarray, gamma: np.ndarray, ratio: np.ndarray,
+                   plays: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Each row's inclusion probabilities, and the capped arms as a (rows, N)
+    mask or None; ``gamma`` is a column, ``ratio`` a _row_ratio per row.
+
+    A row whose largest shifted weight, exp(0) = 1, stays below ratio sum(w)
+    gets p = K((1 - gamma) w / sum(w) + gamma / N) as compute_cap and
+    compute_probabilities compute it; a row that caps is mapped by them.
+    """
+    rows, n = log_weights.shape
+    w = np.exp(log_weights - log_weights.max(axis=1, keepdims=True))
+    total = w.sum(axis=1, keepdims=True)
+    p = plays * ((1.0 - gamma) * w / total + gamma / n)
+    np.minimum(p, 1.0, out=p)
+    capped = None
+    for r in np.flatnonzero(ratio * total[:, 0] <= 1.0):
+        g = float(gamma[r, 0])
+        cap = compute_cap(WeightVector(log_weights[r]), g, plays, n)
+        p[r] = compute_probabilities(cap, g, plays).p
+        if capped is None:
+            capped = np.zeros((rows, n), dtype=bool)
+        capped[r, cap.capped] = True
+    return p, capped
+
+
+def _observe(state: Exp3State, ratio: np.ndarray, env: StochasticEnv | AdversarialEnv,
+             t: int, rngs: Sequence[np.random.Generator]) -> tuple:
+    """Round t of every row: (p, capped, arms, rewards, costs), the last
+    three holding each row's K arms and observations. Row r rounds with
+    rngs[r] and then, on a stochastic environment, draws from it its rewards
+    and costs, as its episode played alone does."""
+    p, capped = _probabilities(state.log_weights, state.gamma, ratio, state.plays)
+    arms = [_pairwise_steps(row, state.plays, rng)
+            for row, rng in zip(_rounding_start(p, state.plays).tolist(), rngs)]
+    if isinstance(env, AdversarialEnv):
+        if t > env.t_max:
+            raise SequenceExhausted(f"sequence exhausted: round {t} exceeds T_max={env.t_max}")
+        rewards, costs = env.rewards[t - 1].tolist(), env.costs[t - 1].tolist()
+        return (p, capped, arms, [[rewards[j] for j in a] for a in arms],
+                [[costs[j] for j in a] for a in arms])
+    drawn = [draw_round(env, np.asarray(a, dtype=np.intp), rng) for a, rng in zip(arms, rngs)]
+    return p, capped, arms, [x.tolist() for x, _ in drawn], [c.tolist() for _, c in drawn]
+
+
+def _estimate_row(p: list[float], arms: Sequence[int], rewards: Sequence[float],
+                  costs: Sequence[float]) -> tuple[list[float], list[float]]:
+    """One row's importance-weighted estimates x / p at its played arms."""
+    pa = [p[j] for j in arms]
+    if any(q <= 0.0 for q in pa):
+        raise ValueError("played arm has zero inclusion probability")
+    return [x / q for x, q in zip(rewards, pa)], [c / q for c, q in zip(costs, pa)]
+
+
+def _update(state: Exp3State, p: np.ndarray, capped: Optional[np.ndarray], arms: Sequence,
+            rewards: Sequence, costs: Sequence) -> None:
+    """Estimate and fold one round into each row r, which played arms[r].
+
+    Estimates are +0.0 off the played arms, and no accumulator or log weight
+    ever holds -0.0, so adding them moves only the played arms. Log weights
+    move by rate * delta outside the capped arms: delta = rhat - chat for the
+    budgeted rule (the doubling trick's moves capped arms too), and
+    (rhat - chat) + bonus, or rhat + bonus without costs, for the
+    high-probability rules, whose bonus alpha conf_scale / p_i reaches every
+    arm and whose sigma_acc gains conf_scale / p_i.
+    """
+    variant = state.variant
+    rates = np.ravel(state.weight_rate).tolist()
+    high_prob = variant in (Variant.PM, Variant.PMB)
+    if high_prob:
+        state.sigma_acc += state.conf_scale / p
+        bonus = state.alpha * state.conf_scale / p
+        step = state.weight_rate * bonus  # rate (0 + bonus), off the played arms
+        bonus = bonus.tolist()
+    skip = capped if variant is Variant.MB else None
+    p_rows = p.tolist()
+    for r, a in enumerate(arms):
+        rhat, chat = _estimate_row(p_rows[r], a, rewards[r], costs[r])
+        gain, loss, lw = state.gain_acc[r], state.loss_acc[r], state.log_weights[r]
+        for j, u, v in zip(a, rhat, chat):
+            gain[j] += u
+            if variant is Variant.PM:
+                step[r, j] = rates[r] * (u + bonus[r][j])
+                continue
+            loss[j] += v
+            if high_prob:
+                step[r, j] = rates[r] * ((u - v) + bonus[r][j])
+            elif skip is None or not skip[r, j]:
+                lw[j] += rates[r] * (u - v)
+    if high_prob:
+        if capped is not None:
+            step[capped] = 0.0
+        state.log_weights += step
+
+
+def _rows_of(state: Exp3State) -> Exp3State:
+    """A one-episode state seen as the engine's single row (views, not copies)."""
+    return replace(state, log_weights=state.log_weights[None], gain_acc=state.gain_acc[None],
+                   loss_acc=state.loss_acc[None], sigma_acc=state.sigma_acc[None],
+                   gamma=np.array([[state.gamma]]))
 
 
 def estimate(outcome: RoundOutcome, probabilities: ProbabilityVector) -> tuple[np.ndarray, np.ndarray]:
@@ -115,52 +232,26 @@ def estimate(outcome: RoundOutcome, probabilities: ProbabilityVector) -> tuple[n
     Conditionally unbiased given the probabilities: each arm is included with
     probability p_i, so E[x_i / p_i * 1(played)] = x_i.
     """
-    p = probabilities.p
-    arms = np.asarray(outcome.arms, dtype=np.intp)
-    if np.any(p[arms] <= 0.0):
-        raise ValueError("played arm has zero inclusion probability")
-    rhat = np.zeros(p.shape[0])
-    chat = np.zeros(p.shape[0])
-    rhat[arms] = outcome.rewards / p[arms]
-    chat[arms] = outcome.costs / p[arms]
+    arms = list(outcome.arms)
+    rhat = np.zeros(probabilities.p.shape[0])
+    chat = np.zeros(probabilities.p.shape[0])
+    rhat[arms], chat[arms] = _estimate_row(probabilities.p.tolist(), arms,
+                                           outcome.rewards.tolist(), outcome.costs.tolist())
     return rhat, chat
 
 
 def exp3mb_weight_update(state: Exp3State, rhat: np.ndarray, chat: np.ndarray,
                          capped: np.ndarray) -> Exp3State:
     """Budgeted rule: log w_i += (K gamma / N)(rhat_i - chat_i) for i outside the cap set."""
-    step = state.weight_rate * (rhat - chat)
-    if capped.size:
-        step[capped] = 0.0
-    state.log_weights += step
+    # the one-row update at every arm, its estimates given (x / 1 = x) and
+    # its accumulator folds thrown away
+    n = state.n_arms
+    keep = np.zeros((1, n), dtype=bool)
+    keep[0, capped] = True
+    scratch = replace(_rows_of(state), variant=Variant.MB, gain_acc=np.zeros((1, n)),
+                      loss_acc=np.zeros((1, n)))
+    _update(scratch, np.ones((1, n)), keep, [range(n)], [rhat.tolist()], [chat.tolist()])
     return state
-
-
-def _weight_update_played(state: Exp3State, rhat: np.ndarray, chat: np.ndarray,
-                          arms: np.ndarray) -> None:
-    # doubling-trick subroutine: reweight the played arms, capped or not
-    rate = state.weight_rate
-    state.log_weights[arms] += rate * (rhat[arms] - chat[arms])
-
-
-def _weight_update_confidence(state: Exp3State, rhat: np.ndarray, chat: np.ndarray,
-                              capped: np.ndarray, p: np.ndarray) -> None:
-    # high-probability rule: every uncapped arm gets the confidence bonus
-    bonus = state.alpha * state.conf_scale / p
-    if state.variant is Variant.PM:
-        step = state.weight_rate * (rhat + bonus)
-    else:
-        step = state.weight_rate * (rhat - chat + bonus)
-    if capped.size:
-        step[capped] = 0.0
-    state.log_weights += step
-
-
-def _observe(env: StochasticEnv | AdversarialEnv, t: int, arms: np.ndarray,
-             rng: np.random.Generator) -> RoundOutcome:
-    if isinstance(env, AdversarialEnv):
-        return lookup_round(env, t, arms)
-    return sample_round(env, arms, rng)
 
 
 def exp3mb_round(state: Exp3State, env: StochasticEnv | AdversarialEnv, cfg: BanditConfig,
@@ -173,29 +264,15 @@ def exp3mb_round(state: Exp3State, env: StochasticEnv | AdversarialEnv, cfg: Ban
     Passing ``budget_remaining=None`` disables the budget check (fixed-horizon
     variant).
     """
-    cap = compute_cap(WeightVector(state.log_weights), state.gamma, state.plays, state.n_arms)
-    probs = compute_probabilities(cap, state.gamma, state.plays)
-    arms = dependent_rounding(state.plays, probs, rng)
-    outcome = _observe(env, state.t, arms, rng)
+    rows = _rows_of(state)
+    ratio = np.array([_row_ratio(state.gamma, state.plays, state.n_arms)])
+    p, capped, arms, rewards, costs = _observe(rows, ratio, env, state.t, [rng])
+    outcome = RoundOutcome(tuple(arms[0]), np.array(rewards[0]), np.array(costs[0]))
     if budget_remaining is not None and outcome.cost > budget_remaining:
-        return outcome, probs, True
-
-    rhat, chat = estimate(outcome, probs)
-    state.gain_acc += rhat
-    if state.variant is Variant.PM:
-        # costs exist in the environment but this variant never observes them
-        chat = np.zeros_like(chat)
-    else:
-        state.loss_acc += chat
-    if state.variant is Variant.MB:
-        exp3mb_weight_update(state, rhat, chat, cap.capped)
-    elif state.variant is Variant.ONE_MB:
-        _weight_update_played(state, rhat, chat, np.asarray(arms, dtype=np.intp))
-    else:
-        state.sigma_acc += state.conf_scale / probs.p
-        _weight_update_confidence(state, rhat, chat, cap.capped, probs.p)
+        return outcome, ProbabilityVector(p[0]), True
+    _update(rows, p, capped, arms, rewards, costs)
     state.t += 1
-    return outcome, probs, False
+    return outcome, ProbabilityVector(p[0]), False
 
 
 def tune_gamma_mb(gain_bound: float, budget: float, n_arms: int, plays: int,
@@ -227,6 +304,18 @@ def epoch_threshold(epoch: int, n_arms: int, plays: int, c_min: float) -> tuple[
     return g_r, gamma_r
 
 
+def _best_subset_totals(gain_acc: np.ndarray, loss_acc: np.ndarray, plays: int) -> np.ndarray:
+    """The largest sum of (Ghat_i - Lhat_i) over K-subsets, per row: the sum
+    of each row's K largest entries."""
+    n = gain_acc.shape[-1]
+    return np.partition(gain_acc - loss_acc, n - plays, axis=-1)[..., n - plays:].sum(axis=-1)
+
+
+def _epoch_target(g_r: float, gamma_r: float, n_arms: int, plays: int, c_min: float) -> float:
+    # the best-subset total that ends an epoch: g_r - N(1 - c_min)/(K gamma_r)
+    return g_r - n_arms * (1.0 - c_min) / (plays * gamma_r)
+
+
 def exp31mb_epoch_done(gain_acc: np.ndarray, loss_acc: np.ndarray, g_r: float,
                        gamma_r: float, n_arms: int, plays: int, c_min: float) -> bool:
     """Epoch ends once the best K-subset of (Ghat - Lhat) exceeds the target.
@@ -234,10 +323,95 @@ def exp31mb_epoch_done(gain_acc: np.ndarray, loss_acc: np.ndarray, g_r: float,
     The maximum of sum_{i in a}(Ghat_i - Lhat_i) over all K-subsets is the sum
     of the K largest entries, compared against g_r - N(1 - c_min)/(K gamma_r).
     """
-    diff = gain_acc - loss_acc
-    top = np.partition(diff, n_arms - plays)[n_arms - plays:]
-    threshold = g_r - n_arms * (1.0 - c_min) / (plays * gamma_r)
-    return float(top.sum()) > threshold
+    total = float(_best_subset_totals(gain_acc, loss_acc, plays))
+    return total > _epoch_target(g_r, gamma_r, n_arms, plays, c_min)
+
+
+def play_lockstep(variant: Variant, cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
+                  rngs: Sequence[np.random.Generator], gamma: Optional[float] = None,
+                  record: bool = False) -> list[EpisodeTrace]:
+    """One episode of ``variant`` per generator, played as the rows of one pass.
+
+    The budgeted variant plays with the given ``gamma``; the others tune
+    their parameters from ``cfg``. Trace i is the episode rngs[i] plays
+    alone, bit for bit (see the module docstring). With ``record`` every
+    round is kept as a RoundRecord.
+    """
+    validate_config(cfg)
+    n, k, rows = cfg.n_arms, cfg.plays, len(rngs)
+    log_w, sigma, alpha, conf_scale = 0.0, 0.0, None, None
+    if variant is Variant.MB:
+        if gamma is None or not 0.0 < gamma <= 1.0:
+            raise ConfigError("gamma must lie in (0, 1]")
+    elif variant is Variant.ONE_MB:
+        gamma = epoch_threshold(0, n, k, cfg.c_min)[1]
+    else:
+        params = (exp3pm_parameters if variant is Variant.PM else exp3pmb_parameters)(cfg)
+        gamma, log_w, sigma = params.gamma, params.log_w_init, params.sigma_init
+        alpha, conf_scale = params.alpha, params.conf_scale
+    state = Exp3State(np.full((rows, n), log_w), np.zeros((rows, n)), np.zeros((rows, n)),
+                      np.full((rows, n), sigma), np.full((rows, 1), gamma), variant, n, k,
+                      alpha, conf_scale)
+    ratio = np.full(rows, _row_ratio(gamma, k, n))
+    traces = [EpisodeTrace(0.0, 0, 0.0) for _ in rngs]
+    # per episode: the remaining budget (0 for the fixed horizon, which pays
+    # nothing) and the doubling trick's epoch, gain target and epoch starts
+    left = [0.0 if variant is Variant.PM else cfg.budget] * rows
+    doubling = variant is Variant.ONE_MB
+    epochs, starts = [0] * rows, [[(0, 1)] for _ in rngs]
+    targets = [_epoch_target(*epoch_threshold(0, n, k, cfg.c_min), n, k, cfg.c_min)
+               ] * rows if doubling else []
+
+    def extras(r: int, i: int) -> dict:
+        if doubling:
+            return {"epoch_starts": starts[i], "epochs_started": epochs[i] + 1,
+                    "epochs_completed": epochs[i], "gain_acc": state.gain_acc[r].copy(),
+                    "loss_acc": state.loss_acc[r].copy()}
+        return {} if variant is Variant.MB else {"sigma_acc": state.sigma_acc[r].copy()}
+
+    live = list(range(rows))  # the episode of each state row
+    t = 1
+    while live:
+        if doubling:
+            totals = _best_subset_totals(state.gain_acc, state.loss_acc, k).tolist()
+            for r, (i, total) in enumerate(zip(live, totals)):
+                while total > targets[i]:  # a new epoch: weights reset, gamma halved
+                    epochs[i] += 1
+                    g_r, gamma_r = epoch_threshold(epochs[i], n, k, cfg.c_min)
+                    targets[i] = _epoch_target(g_r, gamma_r, n, k, cfg.c_min)
+                    starts[i].append((epochs[i], t))
+                    state.gamma[r], ratio[r] = gamma_r, _row_ratio(gamma_r, k, n)
+                    state.log_weights[r] = 0.0
+        p, capped, arms, rewards, costs = _observe(state, ratio, env, t, [rngs[i] for i in live])
+        kept = []
+        for r, i in enumerate(live):
+            trace = traces[i]
+            if variant is Variant.PM:
+                trace.gain += sum_in_order(rewards[r])
+            else:
+                left[i] = trace.play(t, sum_in_order(costs[r]), sum_in_order(rewards[r]), left[i])
+            if record:
+                trace.rounds.append(RoundRecord(t, tuple(arms[r]), np.array(rewards[r]),
+                                                np.array(costs[r]), p[r].copy(), left[i]))
+            kept.append(not trace.stopping_time)
+            if trace.stopping_time:  # the overdrawing round leaves the state as it was
+                trace.extras = extras(r, i)
+        if not all(kept):
+            for name in ("log_weights", "gamma", "gain_acc", "loss_acc", "sigma_acc"):
+                setattr(state, name, getattr(state, name)[kept])
+            ratio, p = ratio[kept], p[kept]
+            capped = None if capped is None else capped[kept]
+            live, arms, rewards, costs = ([x for x, on in zip(seq, kept) if on]
+                                          for seq in (live, arms, rewards, costs))
+            if not live:
+                break
+        _update(state, p, capped, arms, rewards, costs)
+        if variant is Variant.PM and t == cfg.horizon:
+            for r, i in enumerate(live):
+                traces[i].stopping_time, traces[i].extras = t + 1, extras(r, i)
+            break
+        t += 1
+    return traces
 
 
 def exp3mb_run_episode(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
@@ -250,26 +424,7 @@ def exp3mb_run_episode(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
         if gain_bound is None:
             raise ConfigError("supply gamma or a gain bound g")
         gamma = tune_gamma_mb(gain_bound, cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min)
-    state = make_mb_state(cfg, gamma)
-    trace = EpisodeTrace(0.0, 0, 0.0)
-    _run_budgeted(state, cfg, env, rng, record, trace, cfg.budget)
-    return trace
-
-
-def _run_budgeted(state: Exp3State, cfg: BanditConfig, env, rng, record: bool,
-                  trace: EpisodeTrace, remaining: float,
-                  stop: Optional[Callable[[], bool]] = None) -> float:
-    """Drive exp3mb_round, folding each round into ``trace``, until a round
-    overdraws ``remaining`` (which sets the trace's stopping time) or ``stop``
-    fires. Returns the remainder, so that epoch loops can resume.
-    """
-    while not trace.stopping_time:
-        if stop is not None and stop():
-            break
-        t = state.t
-        outcome, probs, _ = exp3mb_round(state, env, cfg, remaining, rng)
-        remaining = trace.play(t, outcome, remaining, probs.p, record)
-    return remaining
+    return play_lockstep(Variant.MB, cfg, env, [rng], gamma, record)[0]
 
 
 def exp31mb_run(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
@@ -278,52 +433,18 @@ def exp31mb_run(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
 
     Each epoch r resets the weights to one and runs with gamma_r until the
     best-subset accumulator total passes g_r; the gain/loss accumulators carry
-    across epochs. The budget check ends the episode exactly as in the plain
-    budgeted variant. The trace's ``extras`` records epoch starts and the
-    final accumulators.
+    across epochs. The test runs before every round, so several epochs can
+    start at the same round. The budget check ends the episode exactly as in
+    the plain budgeted variant. The trace's ``extras`` records epoch starts
+    and the final accumulators.
     """
-    validate_config(cfg)
-    state = Exp3State(
-        log_weights=np.zeros(cfg.n_arms),
-        gamma=1.0,
-        variant=Variant.ONE_MB,
-        n_arms=cfg.n_arms,
-        plays=cfg.plays,
-        epoch=0,
-    )
-    trace = EpisodeTrace(0.0, 0, 0.0)
-    remaining = cfg.budget
-    epoch_starts: list[tuple[int, int]] = []
-    epoch = 0
-    while True:
-        g_r, gamma_r = epoch_threshold(epoch, cfg.n_arms, cfg.plays, cfg.c_min)
-        state.gamma = gamma_r
-        state.epoch = epoch
-        state.log_weights[:] = 0.0
-        epoch_starts.append((epoch, state.t))
-
-        def epoch_over() -> bool:
-            return exp31mb_epoch_done(state.gain_acc, state.loss_acc, g_r, gamma_r,
-                                      cfg.n_arms, cfg.plays, cfg.c_min)
-
-        remaining = _run_budgeted(state, cfg, env, rng, record, trace, remaining, epoch_over)
-        if trace.stopping_time:
-            trace.extras = {
-                "epoch_starts": epoch_starts,
-                "epochs_started": epoch + 1,
-                "epochs_completed": epoch,
-                "gain_acc": state.gain_acc.copy(),
-                "loss_acc": state.loss_acc.copy(),
-            }
-            return trace
-        epoch += 1
+    return play_lockstep(Variant.ONE_MB, cfg, env, [rng], record=record)[0]
 
 
 @dataclass(frozen=True)
 class HighProbParams:
     """Initialization and update parameters of a high-probability variant."""
 
-    variant: Variant
     alpha: float
     gamma: float
     log_w_init: float
@@ -354,7 +475,7 @@ def exp3pm_parameters(cfg: BanditConfig) -> HighProbParams:
     conf_scale = 1.0 / math.sqrt(n * t)
     log_w_init = alpha * gamma * k * k * math.sqrt(t / n) / 3.0
     sigma_init = k * math.sqrt(n * t)
-    return HighProbParams(Variant.PM, alpha, gamma, log_w_init, sigma_init, conf_scale)
+    return HighProbParams(alpha, gamma, log_w_init, sigma_init, conf_scale)
 
 
 def exp3pmb_parameters(cfg: BanditConfig) -> HighProbParams:
@@ -382,21 +503,7 @@ def exp3pmb_parameters(cfg: BanditConfig) -> HighProbParams:
     conf_scale = math.sqrt(k * c) / math.sqrt(n * b)
     log_w_init = alpha * gamma * k * k * math.sqrt(b / (n * k * c)) / 3.0
     sigma_init = k * math.sqrt(n * b / (k * c))
-    return HighProbParams(Variant.PMB, alpha, gamma, log_w_init, sigma_init, conf_scale)
-
-
-def _make_high_prob_state(cfg: BanditConfig, params: HighProbParams) -> Exp3State:
-    n = cfg.n_arms
-    return Exp3State(
-        log_weights=np.full(n, params.log_w_init),
-        gamma=params.gamma,
-        variant=params.variant,
-        n_arms=n,
-        plays=cfg.plays,
-        alpha=params.alpha,
-        conf_scale=params.conf_scale,
-        sigma_acc=np.full(n, params.sigma_init),
-    )
+    return HighProbParams(alpha, gamma, log_w_init, sigma_init, conf_scale)
 
 
 def exp3pm_run(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
@@ -406,30 +513,13 @@ def exp3pm_run(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
     The trace reports stopping_time = T + 1 so the credited range 1..T matches
     the budgeted convention; budget_spent stays zero.
     """
-    params = exp3pm_parameters(cfg)
-    state = _make_high_prob_state(cfg, params)
-    records: list[RoundRecord] = []
-    gain = 0.0
-    for _ in range(cfg.horizon):
-        t = state.t
-        outcome, probs, _ = exp3mb_round(state, env, cfg, None, rng)
-        gain += outcome.reward
-        if record:
-            records.append(RoundRecord(t, outcome.arms, outcome.rewards,
-                                       outcome.costs, probs.p, 0.0))
-    return EpisodeTrace(gain, cfg.horizon + 1, 0.0, records,
-                        {"sigma_acc": state.sigma_acc.copy()})
+    return play_lockstep(Variant.PM, cfg, env, [rng], record=record)[0]
 
 
 def exp3pmb_run(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
                 rng: np.random.Generator, record: bool = True) -> EpisodeTrace:
     """Budgeted high-probability episode."""
-    params = exp3pmb_parameters(cfg)
-    state = _make_high_prob_state(cfg, params)
-    trace = EpisodeTrace(0.0, 0, 0.0)
-    _run_budgeted(state, cfg, env, rng, record, trace, cfg.budget)
-    trace.extras["sigma_acc"] = state.sigma_acc.copy()
-    return trace
+    return play_lockstep(Variant.PMB, cfg, env, [rng], record=record)[0]
 
 
 def individual_rationality_violations(env: AdversarialEnv, plays: int) -> np.ndarray:
@@ -439,10 +529,7 @@ def individual_rationality_violations(env: AdversarialEnv, plays: int) -> np.nda
     each round; the binding subset maximizes cost minus reward, i.e. the K
     largest entries of (c - r). Returns the 1-based violating round indices.
     """
-    diff = env.costs - env.rewards
-    n = env.n_arms
-    worst = np.partition(diff, n - plays, axis=1)[:, n - plays:].sum(axis=1)
-    return np.nonzero(worst > 1e-12)[0] + 1
+    return np.nonzero(_best_subset_totals(env.costs, env.rewards, plays) > 1e-12)[0] + 1
 
 
 def warn_if_irrational(env: AdversarialEnv, plays: int) -> None:

@@ -2,7 +2,8 @@
 
 Replication i derives its own random stream from (base_seed, i + 1), stream
 0 being reserved for one-off environment materialization, and results are
-folded in replication order.
+folded in replication order. The exp3 family plays a spec's replications as
+the rows of one lockstep pass (exp3.play_lockstep), ucb_mb one by one.
 
 The exact adversarial oracle evaluates subsets in lexicographic blocks. For a
 block of m subsets it builds the (T_max + 1, m) matrix whose row 0 is the
@@ -61,14 +62,7 @@ from .core import (
     sum_in_order,
     validate_config,
 )
-from .exp3 import (
-    exp31mb_run,
-    exp3mb_run_episode,
-    exp3pm_run,
-    exp3pmb_run,
-    tune_gamma_mb,
-    warn_if_irrational,
-)
+from .exp3 import Variant, play_lockstep, tune_gamma_mb, warn_if_irrational
 from .ucb import ucb_run_episode
 
 POLICY_NAMES = ("ucb_mb", "exp3_mb", "exp3_1_mb", "exp3_pm", "exp3_pmb")
@@ -347,24 +341,6 @@ def _validate_env(cfg: BanditConfig, env: Union[StochasticEnv, AdversarialEnv],
         raise ConfigError("ucb_mb runs on stochastic environments only")
 
 
-def run_episode(policy: PolicySpec, cfg: BanditConfig,
-                env: Union[StochasticEnv, AdversarialEnv],
-                rng: np.random.Generator, record: bool = False,
-                gamma: Optional[float] = None) -> EpisodeTrace:
-    """Run a single episode of the given policy (gamma already resolved)."""
-    if policy.name == "ucb_mb":
-        return ucb_run_episode(cfg, env, rng, record=record)
-    if policy.name == "exp3_mb":
-        return exp3mb_run_episode(cfg, env, rng, gamma=gamma, record=record)
-    if policy.name == "exp3_1_mb":
-        return exp31mb_run(cfg, env, rng, record=record)
-    if policy.name == "exp3_pm":
-        return exp3pm_run(cfg, env, rng, record=record)
-    if policy.name == "exp3_pmb":
-        return exp3pmb_run(cfg, env, rng, record=record)
-    raise ConfigError(f"unknown policy {policy.name!r}")
-
-
 @dataclass
 class RegretReport:
     """Aggregated regret of one run specification."""
@@ -428,6 +404,9 @@ def _resolve_gamma(spec: RunSpec, oracle_gain: float) -> tuple[Optional[float], 
     if policy.gamma is not None:
         return policy.gamma, None
     g = oracle_gain if policy.g == "oracle" else float(policy.g)
+    if not g > 0.0:
+        # e.g. an oracle gain of 0 at a budget below the cheapest first round
+        raise ConfigError(f"tuning gamma needs a gain bound g > 0, got g = {g}")
     cfg = spec.config
     return tune_gamma_mb(g, cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min), g
 
@@ -502,22 +481,23 @@ def prepare(spec: RunSpec) -> Prepared:
     return Prepared(cfg, env, a_star, oracle_gain, oracle_mode, brackets, gamma, g_used)
 
 
-def _episode(spec: RunSpec, prep: Prepared, i: int, record: bool) -> EpisodeTrace:
-    """Replication i of the spec, on its own stream."""
-    return run_episode(spec.policy, prep.cfg, prep.env, episode_rng(spec.base_seed, i + 1),
-                       record=record, gamma=prep.gamma)
+def _episodes(spec: RunSpec, prep: Prepared, record: bool = False) -> list[EpisodeTrace]:
+    """The spec's replications, in order, replication i on stream i + 1; the
+    exp3 family plays them in lockstep, ucb_mb one after another."""
+    rngs = [episode_rng(spec.base_seed, i + 1) for i in range(spec.replications)]
+    if spec.policy.name == "ucb_mb":
+        return [ucb_run_episode(prep.cfg, prep.env, rng, record=record) for rng in rngs]
+    return play_lockstep(Variant(spec.policy.name), prep.cfg, prep.env, rngs, gamma=prep.gamma,
+                         record=record)
 
 
 def _play(spec: RunSpec, prep: Prepared, record: bool = False,
           traces_out: Optional[list[EpisodeTrace]] = None) -> list[tuple[float, int]]:
     """(gain, stopping_time) of each replication, in replication order."""
-    per_rep = []
-    for i in range(spec.replications):
-        trace = _episode(spec, prep, i, record)
-        per_rep.append((float(trace.gain), int(trace.stopping_time)))
-        if traces_out is not None:
-            traces_out.append(trace)
-    return per_rep
+    traces = _episodes(spec, prep, record)
+    if traces_out is not None:
+        traces_out.extend(traces)
+    return [(float(trace.gain), int(trace.stopping_time)) for trace in traces]
 
 
 def _report(spec: RunSpec, prep: Prepared, per_rep: list[tuple[float, int]]) -> RegretReport:
@@ -589,8 +569,7 @@ def _budget_reports(spec: RunSpec, budgets: Sequence[float]) -> list[RegretRepor
         top = int(values.argmax())
         gains = np.empty((spec.replications, values.size))
         stops = np.empty((spec.replications, values.size), dtype=np.intp)
-        for i in range(spec.replications):
-            trace = _episode(specs[top], preps[top], i, record=False)
+        for i, trace in enumerate(_episodes(specs[top], preps[top])):
             gains[i], stops[i], _ = _checkpoints(trace.round_costs, trace.round_rewards, values)
         per_reps = [list(zip(gains[:, j].tolist(), stops[:, j].tolist()))
                     for j in range(values.size)]

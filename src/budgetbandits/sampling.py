@@ -10,6 +10,14 @@ B / (K c_min) rounds the raw weights overflow doubles, while every quantity
 that matters here (the cap condition, v / sum(w), the probabilities) is
 invariant under a common rescaling, so all exponentiations subtract the
 maximum log weight first.
+
+Rounding comes in two kernels with one step rule. _pairwise_steps draws one
+subset on plain floats with one uniform per step; dependent_rounding calls
+it, and so does the lockstep engine (exp3.play_lockstep) for each of its
+rows, with the row's own generator, after checking, clipping and snapping
+all rows' vectors at once (_rounding_start). _pairwise_round steps many
+draws as numpy arrays, one uniform per unfinished row per step, for
+dependent_rounding_batch.
 """
 
 from __future__ import annotations
@@ -147,7 +155,10 @@ def dependent_rounding(plays: int, probabilities: ProbabilityVector | np.ndarray
     Coordinates within 1e-9 of {0, 1} count as frozen.
     """
     p = probabilities.p if isinstance(probabilities, ProbabilityVector) else np.asarray(probabilities)
-    return _round_single(p, plays, rng)
+    if p.ndim != 1:
+        raise ValueError("probability vector must be 1-d")
+    values = _rounding_start(p[None], plays)[0].tolist()
+    return np.asarray(_pairwise_steps(values, plays, rng), dtype=np.intp)
 
 
 def dependent_rounding_batch(plays: int, probabilities: ProbabilityVector | np.ndarray,
@@ -157,29 +168,39 @@ def dependent_rounding_batch(plays: int, probabilities: ProbabilityVector | np.n
     return _pairwise_round(np.broadcast_to(p, (draws, p.shape[0])), plays, rng)
 
 
-def _round_single(p: np.ndarray, plays: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the pairwise scheme, unrolled over plain floats.
-
-    Step-for-step identical to the batched kernel (same pairing order, one
-    uniform per step, same freeze tolerance); it exists because a draw per
-    round is the policies' hot path.
-    """
-    if p.ndim != 1:
-        raise ValueError("probability vector must be 1-d")
-    if np.any(p < -SIMPLEX_TOL) or np.any(p > 1.0 + SIMPLEX_TOL):
+def _rounding_start(p: np.ndarray, plays: int) -> np.ndarray:
+    """Check a (rows, N) stack of probability vectors (each in [0, 1] and
+    summing to K) and return its working copy, clipped to [0, 1] with the
+    entries within FREEZE_TOL of 0 or 1 snapped."""
+    # written so that NaN fails the checks
+    if not (p.min() >= -SIMPLEX_TOL and p.max() <= 1.0 + SIMPLEX_TOL):
         raise ValueError("probabilities must lie in [0, 1]")
-    if abs(float(p.sum()) - plays) > SIMPLEX_TOL:
+    if not np.abs(p.sum(axis=1) - plays).max() <= SIMPLEX_TOL:
         raise ValueError(f"probabilities must sum to K={plays} (tolerance {SIMPLEX_TOL})")
-    work = np.clip(p, 0.0, 1.0).astype(np.float64, copy=True)
+    work = np.minimum(np.maximum(p, 0.0, dtype=np.float64), 1.0)
     _snap(work)
-    values = work.tolist()
+    return work
+
+
+def _pairwise_steps(values: list[float], plays: int, rng: np.random.Generator) -> list[int]:
+    """One draw of the pairwise scheme on a row of plain floats, which it overwrites.
+
+    Unrolled over floats because a draw per row and round is the policies'
+    hot path; step for step it is the batched kernel (same pairing order,
+    one uniform per step, same freeze tolerance). Only the pair's two
+    coordinates move in a step, so only they can leave the fractional list.
+    """
+    draw = rng.random
     frac = [i for i, x in enumerate(values) if 0.0 < x < 1.0]
     while len(frac) >= 2:
         i, j = frac[0], frac[1]
         pi, pj = values[i], values[j]
-        alpha = min(1.0 - pi, pj)
-        beta = min(pi, 1.0 - pj)
-        if rng.random() < beta / (alpha + beta):
+        alpha, beta = 1.0 - pi, 1.0 - pj  # min(1 - pi, pj) and min(pi, 1 - pj)
+        if pj < alpha:
+            alpha = pj
+        if pi < beta:
+            beta = pi
+        if draw() < beta / (alpha + beta):
             pi, pj = pi + alpha, pj - alpha
         else:
             pi, pj = pi - beta, pj + beta
@@ -192,24 +213,19 @@ def _round_single(p: np.ndarray, plays: int, rng: np.random.Generator) -> np.nda
         elif pj >= 1.0 - FREEZE_TOL:
             pj = 1.0
         values[i], values[j] = pi, pj
-        frac = [k for k in frac if 0.0 < values[k] < 1.0]
-    chosen = np.asarray([i for i, x in enumerate(values) if x > 0.5], dtype=np.intp)
-    if chosen.size != plays:
+        if not 0.0 < pj < 1.0:
+            del frac[1]
+        if not 0.0 < pi < 1.0:
+            del frac[0]
+    chosen = [i for i, x in enumerate(values) if x > 0.5]
+    if len(chosen) != plays:
         raise RuntimeError("rounding did not land on exactly K arms; input off the simplex")
     return chosen
 
 
 def _pairwise_round(p: np.ndarray, plays: int, rng: np.random.Generator) -> np.ndarray:
-    n_arms = p.shape[1]
-    if np.any(p < -SIMPLEX_TOL) or np.any(p > 1.0 + SIMPLEX_TOL):
-        raise ValueError("probabilities must lie in [0, 1]")
-    sums = p.sum(axis=1)
-    if np.any(np.abs(sums - plays) > SIMPLEX_TOL):
-        raise ValueError(f"probabilities must sum to K={plays} (tolerance {SIMPLEX_TOL})")
-
-    work = np.clip(p, 0.0, 1.0).astype(np.float64, copy=True)
-    _snap(work)
-    for _ in range(n_arms):
+    work = _rounding_start(p, plays)
+    for _ in range(p.shape[1]):
         frac = (work > 0.0) & (work < 1.0)
         active = np.nonzero(frac.sum(axis=1) >= 2)[0]
         if active.size == 0:

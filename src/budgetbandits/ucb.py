@@ -19,6 +19,7 @@ from .core import (
     BanditConfig,
     EpisodeTrace,
     RoundOutcome,
+    RoundRecord,
     StochasticEnv,
     sample_round,
     validate_config,
@@ -148,13 +149,17 @@ def ucb_run_episode(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Genera
         raise ValueError("environment arm count does not match config")
     trace = EpisodeTrace(0.0, 0, 0.0)
     state, _, _ = ucb_init(cfg, env, rng, oracle_arms)
-    init = RoundOutcome(tuple(range(cfg.n_arms)), state.mean_reward.copy(),
-                        state.mean_cost.copy())
-    remaining = trace.play(1, init, cfg.budget, None, record)
-    while not trace.stopping_time:
+    t, remaining = 1, cfg.budget
+    outcome = RoundOutcome(tuple(range(cfg.n_arms)), state.mean_reward.copy(),
+                           state.mean_cost.copy())
+    while True:
+        remaining = trace.play(t, outcome.cost, outcome.reward, remaining)
+        if record:
+            trace.rounds.append(RoundRecord(t, outcome.arms, outcome.rewards, outcome.costs,
+                                            None, remaining))
+        if trace.stopping_time:
+            return trace
+        if t > 1:
+            ucb_update(state, outcome, t + 1, rng)
         t = state.t
         outcome = sample_round(env, ucb_select(state), rng)
-        remaining = trace.play(t, outcome, remaining, None, record)
-        if not trace.stopping_time:
-            ucb_update(state, outcome, t + 1, rng)
-    return trace

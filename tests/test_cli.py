@@ -74,6 +74,7 @@ class TestRun:
 
     @pytest.mark.parametrize("breakage", [
         "nan_mean", "nan_reward", "inf_cost", "neg_inf_reward", "inf_budget", "gamma_on_ucb",
+        "zero_oracle_gain",
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
         doc = run_doc(episode_rng(1, 1))
@@ -92,6 +93,12 @@ class TestRun:
             env["rewards"][3][1] = -float("inf")
         elif breakage == "inf_budget":
             doc["config"]["budget"] = float("inf")
+        elif breakage == "zero_oracle_gain":
+            # 3 arms and K c_min = 1 above B: no subset affords a round, so the
+            # oracle gain that tunes gamma is 0
+            doc["policy"] = {"name": "exp3_mb", "g": "oracle"}
+            doc["config"].update(n_arms=3, budget=0.75)
+            doc["environment"] = adversarial_doc(episode_rng(1, 2), t_max=3, n=3)
         else:
             doc["policy"]["gamma"] = 0.3
         cfg = write_json(tmp_path / "bad.json", doc)

@@ -175,7 +175,7 @@ class TestDependentRounding:
     def test_single_draw_matches_batch_kernel_bitwise(self):
         # the unrolled single-draw path consumes the stream identically to
         # the batched kernel, so equal seeds give equal subsets
-        from budgetbandits.sampling import _pairwise_round, _round_single
+        from budgetbandits.sampling import _pairwise_round
 
         rng = episode_rng(81, 1)
         for _ in range(200):
@@ -187,7 +187,7 @@ class TestDependentRounding:
             if p[0] < 0 or p[0] > 1:
                 continue
             seed = int(rng.integers(1 << 30))
-            a = _round_single(p, k, episode_rng(seed, 5))
+            a = dependent_rounding(k, p, episode_rng(seed, 5))
             b = _pairwise_round(p[None, :], k, episode_rng(seed, 5))[0]
             assert np.array_equal(a, b)
 

@@ -84,14 +84,13 @@ def test_checkpoints_equal_separate_episodes(case):
     budgets = np.array(BUDGETS)
     top = spec_at(policy, environment, max(BUDGETS), 5)
     prep = harness.prepare(top)
-    for i in range(top.replications):
-        trace = harness._episode(top, prep, i, record=False)
+    for i, trace in enumerate(harness._episodes(top, prep)):
         assert len(trace.round_costs) == len(trace.round_rewards) == trace.stopping_time
         gains, stops, spent = harness._checkpoints(trace.round_costs, trace.round_rewards,
                                                    budgets)
         for j, budget in enumerate(BUDGETS):
             sub = spec_at(policy, environment, budget, 5)
-            alone = harness._episode(sub, harness.prepare(sub), i, record=False)
+            alone = harness._episodes(sub, harness.prepare(sub))[i]
             assert float(gains[j]).hex() == alone.gain.hex()
             assert int(stops[j]) == alone.stopping_time
             assert float(spent[j]).hex() == float(alone.budget_spent).hex()
@@ -101,7 +100,7 @@ def test_checkpoints_across_blocks(monkeypatch):
     # one budget per block: the columns are evaluated block by block
     policy, environment = ANYTIME["exp3_mb-adversarial"]
     top = spec_at(policy, environment, max(BUDGETS), 6, replications=1)
-    trace = harness._episode(top, harness.prepare(top), 0, record=False)
+    trace, = harness._episodes(top, harness.prepare(top))
     budgets = np.array(BUDGETS)
     whole = harness._checkpoints(trace.round_costs, trace.round_rewards, budgets)
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 1)
@@ -113,7 +112,7 @@ def test_checkpoints_across_blocks(monkeypatch):
 def test_checkpoints_reject_a_budget_beyond_the_episode():
     policy, environment = ANYTIME["exp3_mb-adversarial"]
     top = spec_at(policy, environment, 7.0, 7, replications=1)
-    trace = harness._episode(top, harness.prepare(top), 0, record=False)
+    trace, = harness._episodes(top, harness.prepare(top))
     with pytest.raises(ValueError, match="outlasts"):
         harness._checkpoints(trace.round_costs, trace.round_rewards, np.array([7.0, 40.0]))
 
@@ -130,13 +129,13 @@ PER_BUDGET = {
 def episode_budgets(monkeypatch, spec, budgets):
     """The budgets at which sweep plays its episodes, in order."""
     played = []
-    original = harness.run_episode
+    original = harness._episodes
 
-    def counting(policy, cfg, *args, **kwargs):
-        played.append(cfg.budget)
-        return original(policy, cfg, *args, **kwargs)
+    def counting(spec, prep, *args, **kwargs):
+        played.extend([prep.cfg.budget] * spec.replications)
+        return original(spec, prep, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "run_episode", counting)
+    monkeypatch.setattr(harness, "_episodes", counting)
     harness.sweep(spec, budgets)
     return played
 
