@@ -17,7 +17,7 @@ def test_corpus_holds_every_case():
 
 
 @pytest.mark.parametrize("case", sorted(regen.CASES))
-def test_outputs_match_corpus(case, tmp_path, recwarn):
+def test_outputs_match_corpus(case, tmp_path):
     case_dir = GOLDEN / case
     produced = regen.produce(case_dir, tmp_path)
     for name in regen.OUTPUTS:
