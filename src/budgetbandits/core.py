@@ -4,6 +4,13 @@ An episode plays exactly ``plays`` distinct arms per round, observes each
 played arm's reward in [0, 1] and cost in [c_min, 1], and pays costs out of a
 budget. The round whose total cost exceeds the remaining budget terminates the
 episode: its reward is not credited and its cost is not charged.
+
+A stochastic round is drawn by draw_round, for ucb_mb's episodes, the exp3
+engine's stochastic rows and sample_round alike. It returns the played arms'
+rewards and costs as float lists. A Bernoulli round takes its 2K uniforms
+from one generator call and compares them with per-arm probabilities that
+StochasticEnv computes once; a Beta round makes one rng.beta call for the
+rewards and one for the costs.
 """
 
 from __future__ import annotations
@@ -96,12 +103,17 @@ class StochasticEnv:
     c_min: float
     family: Family = Family.BERNOULLI_SCALED
     beta_concentration: float = 4.0
+    # per arm as floats, the means of the reward and of the cost mapped from
+    # [c_min, 1] onto [0, 1]: a Bernoulli draw's P(1), a Beta draw's mean
+    _unit_reward_means: list = field(init=False, repr=False, compare=False)
+    _unit_cost_means: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mr = np.asarray(self.mean_rewards, dtype=np.float64)
         mc = np.asarray(self.mean_costs, dtype=np.float64)
         object.__setattr__(self, "mean_rewards", mr)
         object.__setattr__(self, "mean_costs", mc)
+        object.__setattr__(self, "c_min", float(self.c_min))
         object.__setattr__(self, "family", Family(self.family))
         if mr.ndim != 1 or mc.shape != mr.shape:
             raise ConfigError("mean vectors must be 1-d and of equal length")
@@ -116,6 +128,9 @@ class StochasticEnv:
             raise ConfigError("beta_concentration must be > 0")
         mr.setflags(write=False)
         mc.setflags(write=False)
+        object.__setattr__(self, "_unit_reward_means", mr.tolist())
+        object.__setattr__(self, "_unit_cost_means",
+                           ((mc - self.c_min) / (1.0 - self.c_min)).tolist())
 
     @property
     def n_arms(self) -> int:
@@ -281,24 +296,36 @@ def _check_arms(arms: Sequence[int], n_arms: int) -> tuple[int, ...]:
 def sample_round(env: StochasticEnv, arms: Sequence[int], rng: np.random.Generator) -> RoundOutcome:
     """Draw one round of independent rewards and costs for the given arms."""
     idx = _check_arms(arms, env.n_arms)
-    return RoundOutcome(idx, *draw_round(env, np.asarray(idx, dtype=np.intp), rng))
+    rewards, costs = draw_round(env, idx, rng)
+    return RoundOutcome(idx, np.array(rewards), np.array(costs))
 
 
-def draw_round(env: StochasticEnv, a: np.ndarray, rng: np.random.Generator,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """(rewards, costs) of the distinct, in-range arms ``a``, drawn as sample_round draws them."""
-    mr = env.mean_rewards[a]
-    mc = env.mean_costs[a]
+def draw_round(env: StochasticEnv, arms: Sequence[int], rng: np.random.Generator,
+               ) -> tuple[list[float], list[float]]:
+    """(rewards, costs) of the distinct, in-range ``arms``, in their order.
+
+    Bernoulli rewards and costs come from one rng.random(2K) call, rewards
+    from the first K uniforms and costs from the last K; value for value
+    these are the uniforms of two rng.random(K) calls. Beta rewards and then
+    costs each come from one rng.beta call over the arms with an interior
+    mean.
+    """
     if env.family is Family.BERNOULLI_SCALED:
-        rewards = (rng.random(a.size) < mr).astype(np.float64)
-        # cost support {c_min, 1}; weight on 1 chosen so the mean equals mu_c
-        q = (mc - env.c_min) / (1.0 - env.c_min)
-        costs = np.where(rng.random(a.size) < q, 1.0, env.c_min)
-    else:
-        rewards = _beta_on_unit(mr, env.beta_concentration, rng)
-        frac = (mc - env.c_min) / (1.0 - env.c_min)
-        costs = env.c_min + (1.0 - env.c_min) * _beta_on_unit(frac, env.beta_concentration, rng)
-    return rewards, costs
+        k = len(arms)
+        u = rng.random(2 * k).tolist()
+        # a cost's weight on 1 is the one that makes its mean mu_c on {c_min, 1}
+        mr, q, c_min = env._unit_reward_means, env._unit_cost_means, env.c_min
+        rewards, costs = [], []
+        for x, y, i in zip(u, u[k:], arms):
+            rewards.append(1.0 if x < mr[i] else 0.0)
+            costs.append(1.0 if y < q[i] else c_min)
+        return rewards, costs
+    c_min = env.c_min
+    a = np.asarray(arms, dtype=np.intp)
+    rewards = _beta_on_unit(env.mean_rewards[a], env.beta_concentration, rng)
+    frac = np.take(env._unit_cost_means, a)
+    costs = c_min + (1.0 - c_min) * _beta_on_unit(frac, env.beta_concentration, rng)
+    return rewards.tolist(), costs.tolist()
 
 
 def _beta_on_unit(mean: np.ndarray, concentration: float, rng: np.random.Generator) -> np.ndarray:

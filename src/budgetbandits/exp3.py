@@ -165,8 +165,8 @@ def _observe(state: Exp3State, ratio: np.ndarray, env: StochasticEnv | Adversari
         rewards, costs = env.rewards[t - 1].tolist(), env.costs[t - 1].tolist()
         return (p, capped, arms, [[rewards[j] for j in a] for a in arms],
                 [[costs[j] for j in a] for a in arms])
-    drawn = [draw_round(env, np.asarray(a, dtype=np.intp), rng) for a, rng in zip(arms, rngs)]
-    return p, capped, arms, [x.tolist() for x, _ in drawn], [c.tolist() for _, c in drawn]
+    drawn = [draw_round(env, a, rng) for a, rng in zip(arms, rngs)]
+    return p, capped, arms, [x for x, _ in drawn], [c for _, c in drawn]
 
 
 def _estimate_row(p: list[float], arms: Sequence[int], rewards: Sequence[float],

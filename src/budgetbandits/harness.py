@@ -41,10 +41,12 @@ bounds command and sweeps alike.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -125,6 +127,8 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -323,6 +327,8 @@ def _validate_env(cfg: BanditConfig, env: Union[StochasticEnv, AdversarialEnv],
                   policy: PolicySpec) -> None:
     if env.n_arms != cfg.n_arms:
         raise ConfigError("environment arm count does not match config")
+    if policy.name == "exp3_pm" and cfg.horizon is None:
+        raise ConfigError("exp3_pm needs a horizon")
     if isinstance(env, StochasticEnv):
         if abs(env.c_min - cfg.c_min) > 1e-12:
             raise ConfigError("environment c_min does not match config")
@@ -330,13 +336,15 @@ def _validate_env(cfg: BanditConfig, env: Union[StochasticEnv, AdversarialEnv],
         if env.min_cost < cfg.c_min - 1e-12:
             raise ConfigError("adversarial costs fall below the configured c_min")
         if policy.name == "exp3_pm":
-            if cfg.horizon is None:
-                raise ConfigError("exp3_pm needs a horizon")
             if env.t_max < cfg.horizon:
                 raise ConfigError("sequence shorter than the horizon")
-        elif env.t_max < default_t_max(cfg.budget, cfg.plays, cfg.c_min) - 1:
+        elif env.t_max < default_t_max(cfg.budget, cfg.plays, cfg.c_min):
+            # every round costs at least K c_min, so the round after
+            # ceil(B / (K c_min)) paid ones overdraws: neither an episode nor
+            # the exact oracle can run out of rows
             raise ConfigError(
-                "sequence may be exhausted before the budget; raise T_max")
+                "sequence may be exhausted before the budget; "
+                "T_max must be at least ceil(B / (K c_min)) + 1")
     if policy.name == "ucb_mb" and not isinstance(env, StochasticEnv):
         raise ConfigError("ucb_mb runs on stochastic environments only")
 
@@ -380,8 +388,6 @@ def _oracle_for(spec: RunSpec, env: Union[StochasticEnv, AdversarialEnv],
     cfg = spec.config
     if isinstance(env, StochasticEnv):
         if spec.policy.name == "exp3_pm":
-            if cfg.horizon is None:
-                raise ConfigError("exp3_pm needs a horizon")
             a = bounds_mod.top_k_indices(env.mean_rewards, cfg.plays)
             gain = float(env.mean_rewards[list(a)].sum()) * cfg.horizon
             return a, gain, "stochastic_horizon_proxy", None
@@ -396,14 +402,16 @@ def _oracle_for(spec: RunSpec, env: Union[StochasticEnv, AdversarialEnv],
     return a, gain, mode, None
 
 
-def _resolve_gamma(spec: RunSpec, oracle_gain: float) -> tuple[Optional[float], Optional[float]]:
-    """(gamma, g used) for exp3_mb; (None, None) for everything else."""
+def _resolve_gamma(spec: RunSpec, oracle: Callable[[], tuple],
+                   ) -> tuple[Optional[float], Optional[float]]:
+    """(gamma, g used) for exp3_mb; (None, None) for everything else.
+    ``oracle`` is called only when g is "oracle"."""
     policy = spec.policy
     if policy.name != "exp3_mb":
         return None, None
     if policy.gamma is not None:
         return policy.gamma, None
-    g = oracle_gain if policy.g == "oracle" else float(policy.g)
+    g = oracle()[1] if policy.g == "oracle" else float(policy.g)
     if not g > 0.0:
         # e.g. an oracle gain of 0 at a budget below the cheapest first round
         raise ConfigError(f"tuning gamma needs a gain bound g > 0, got g = {g}")
@@ -453,32 +461,41 @@ def applicable_bounds(spec: RunSpec, prep: Prepared) -> dict:
 
 @dataclass(frozen=True)
 class Prepared:
-    """What a spec's episodes, bounds and report need beyond the spec itself."""
+    """What a spec's episodes, bounds and report need beyond the spec itself.
+
+    ``oracle()`` returns the oracle's (arms, gain, mode, brackets) and
+    computes them on its first call only, since on an adversarial
+    environment that enumerates every K-subset and most policies' bounds
+    never read it. prepare's checks leave it no way to fail.
+    """
 
     cfg: BanditConfig
     env: Union[StochasticEnv, AdversarialEnv]
-    oracle_arms: Optional[tuple[int, ...]]
-    oracle_gain: float
-    oracle_mode: str
-    brackets: Optional[tuple[float, float]]
     gamma: Optional[float]
     g_used: Optional[float]
+    oracle: Callable[[], tuple[Optional[tuple[int, ...]], float, str,
+                               Optional[tuple[float, float]]]]
+
+    @property
+    def oracle_gain(self) -> float:
+        return self.oracle()[1]
 
 
 def prepare(spec: RunSpec) -> Prepared:
-    """Check the spec, materialize its environment, and compute its oracle and gamma.
+    """Check the spec, materialize its environment, and resolve its gamma.
 
     Raises ConfigError on a bad config, an environment that does not fit it,
-    or a policy that cannot run on it.
+    or a policy that cannot run on it. The oracle is left for its first
+    reader (Prepared.oracle) unless tuning gamma needs it.
     """
     cfg = validate_config(spec.config)
     env = materialize_environment(spec)
     _validate_env(cfg, env, spec.policy)
     if spec.policy.name == "exp3_1_mb" and isinstance(env, AdversarialEnv):
         warn_if_irrational(env, cfg.plays)
-    a_star, oracle_gain, oracle_mode, brackets = _oracle_for(spec, env)
-    gamma, g_used = _resolve_gamma(spec, oracle_gain)
-    return Prepared(cfg, env, a_star, oracle_gain, oracle_mode, brackets, gamma, g_used)
+    oracle = functools.cache(functools.partial(_oracle_for, spec, env))
+    gamma, g_used = _resolve_gamma(spec, oracle)
+    return Prepared(cfg, env, gamma, g_used, oracle)
 
 
 def _episodes(spec: RunSpec, prep: Prepared, record: bool = False) -> list[EpisodeTrace]:
@@ -506,24 +523,25 @@ def _report(spec: RunSpec, prep: Prepared, per_rep: list[tuple[float, int]]) -> 
     mean_gain = float(gains.mean())
     std_error = float(gains.std(ddof=1) / math.sqrt(len(gains))) if len(gains) > 1 else 0.0
 
+    oracle_arms, oracle_gain, oracle_mode, brackets = prep.oracle()
     bound_values = applicable_bounds(spec, prep)
     violation = None
     own = _OWN_BOUND[spec.policy.name]
     if spec.policy.name in _HIGH_PROBABILITY and own in bound_values:
-        violation = float(np.mean(prep.oracle_gain - gains > bound_values[own]))
+        violation = float(np.mean(oracle_gain - gains > bound_values[own]))
 
     return RegretReport(
         policy=spec.policy.name,
-        oracle_gain=prep.oracle_gain,
-        oracle_arms=prep.oracle_arms,
-        oracle_mode=prep.oracle_mode,
+        oracle_gain=oracle_gain,
+        oracle_arms=oracle_arms,
+        oracle_mode=oracle_mode,
         mean_gain=mean_gain,
-        mean_regret=prep.oracle_gain - mean_gain,
+        mean_regret=oracle_gain - mean_gain,
         regret_std_error=std_error,
         per_replication=per_rep,
         bound_values=bound_values,
         violation_fraction=violation,
-        oracle_brackets=prep.brackets,
+        oracle_brackets=brackets,
     )
 
 
@@ -620,16 +638,27 @@ def run_spec_to_dict(spec: RunSpec) -> dict:
     }
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: an integer, or a float with an integral value
+    such as 4.0; anything else, a bool included, is a ConfigError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def run_spec_from_dict(doc: dict) -> RunSpec:
     try:
         cfg_doc = doc["config"]
+        horizon = cfg_doc.get("horizon")
         cfg = BanditConfig(
-            n_arms=int(cfg_doc["n_arms"]),
-            plays=int(cfg_doc["plays"]),
+            n_arms=_integer(cfg_doc["n_arms"], "n_arms"),
+            plays=_integer(cfg_doc["plays"], "plays"),
             budget=float(cfg_doc["budget"]),
             c_min=float(cfg_doc["c_min"]),
             confidence=float(cfg_doc.get("confidence", 0.1)),
-            horizon=int(cfg_doc["horizon"]) if cfg_doc.get("horizon") is not None else None,
+            horizon=_integer(horizon, "horizon") if horizon is not None else None,
         )
         pol_doc = doc["policy"]
         policy = PolicySpec(
@@ -649,8 +678,8 @@ def run_spec_from_dict(doc: dict) -> RunSpec:
             config=validate_config(cfg),
             policy=policy,
             environment=environment,
-            replications=int(doc.get("replications", 1)),
-            base_seed=int(doc.get("base_seed", 0)),
+            replications=_integer(doc.get("replications", 1), "replications"),
+            base_seed=_integer(doc.get("base_seed", 0), "base_seed"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

@@ -5,6 +5,15 @@ an arm is the ratio of those means plus an exploration term that shrinks as
 the arm accumulates pulls. Every round plays the K highest-scoring arms. The
 exploration term's denominator can go nonpositive while an arm has few pulls;
 that branch returns +inf, which forces the arm to be explored.
+
+An episode is one loop on plain floats: each arm's pulls, means and bonus
+sit in Python lists, a round takes the top K of the (-score, index) order and
+plays them in ascending order, core.draw_round draws their rewards and costs
+with one call into the generator, and only the played arms' means move
+before every bonus is recomputed with exploration_term at the next round.
+The episode selects with ucb_select and folds with the helper that
+ucb_update calls, so it equals the ucb_select / sample_round / ucb_update
+loop bit for bit.
 """
 
 from __future__ import annotations
@@ -21,14 +30,15 @@ from .core import (
     RoundOutcome,
     RoundRecord,
     StochasticEnv,
-    sample_round,
+    draw_round,
+    sum_in_order,
     validate_config,
 )
 
 
 @dataclass
 class UcbState:
-    """Mutable per-episode statistics.
+    """Mutable per-episode statistics, one list entry per arm.
 
     ``t`` is the index of the next round to play (the all-arms initialization
     round is round 1). ``exploration`` always corresponds to ``t``; entries are
@@ -39,17 +49,17 @@ class UcbState:
     t: int
     plays: int
     c_min: float
-    pull_counts: np.ndarray
-    mean_reward: np.ndarray
-    mean_cost: np.ndarray
-    exploration: np.ndarray
-    suboptimal_counters: np.ndarray
+    pull_counts: list[int]
+    mean_reward: list[float]
+    mean_cost: list[float]
+    exploration: list[float]
+    suboptimal_counters: list[int]
     oracle_arms: Optional[tuple[int, ...]] = None
 
     @property
-    def upper_bounds(self) -> np.ndarray:
+    def upper_bounds(self) -> list[float]:
         """U_i = mean-reward/mean-cost ratio plus exploration (inf passes through)."""
-        return self.mean_reward / self.mean_cost + self.exploration
+        return [r / c + b for r, c, b in zip(self.mean_reward, self.mean_cost, self.exploration)]
 
 
 def exploration_term(pulls: int, t: int | float, plays: int, c_min: float) -> float:
@@ -65,13 +75,6 @@ def exploration_term(pulls: int, t: int | float, plays: int, c_min: float) -> fl
     return math.inf
 
 
-def _exploration_vector(pulls: np.ndarray, t: int, plays: int, c_min: float) -> np.ndarray:
-    eps = np.sqrt((plays + 1) * math.log(t) / pulls)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = eps * (1.0 + 1.0 / c_min) / (c_min - eps)
-    return np.where(c_min > eps, value, np.inf)
-
-
 def ucb_init(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Generator,
              oracle_arms: Optional[Sequence[int]] = None) -> tuple[UcbState, float, float]:
     """Play all N arms together once and build the initial state.
@@ -81,26 +84,53 @@ def ucb_init(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Generator,
     already exceeds the budget the episode terminates immediately.
     """
     n = cfg.n_arms
-    outcome = sample_round(env, range(n), rng)
+    rewards, costs = draw_round(env, range(n), rng)
     state = UcbState(
         t=2,
         plays=cfg.plays,
         c_min=cfg.c_min,
-        pull_counts=np.ones(n, dtype=np.int64),
-        mean_reward=outcome.rewards.copy(),
-        mean_cost=outcome.costs.copy(),
-        exploration=np.full(n, np.inf),
-        suboptimal_counters=np.zeros(n, dtype=np.int64),
+        pull_counts=[1] * n,
+        mean_reward=rewards,
+        mean_cost=costs,
+        exploration=[math.inf] * n,
+        suboptimal_counters=[0] * n,
         oracle_arms=tuple(int(a) for a in oracle_arms) if oracle_arms is not None else None,
     )
-    return state, outcome.cost, outcome.reward
+    return state, sum_in_order(costs), sum_in_order(rewards)
 
 
-def ucb_select(state: UcbState) -> np.ndarray:
-    """Indices of the K largest upper confidence bounds, ties to lowest index."""
+def ucb_select(state: UcbState) -> list[int]:
+    """Indices of the K largest upper confidence bounds, ties to lowest index,
+    in ascending order."""
+    # a stable sort by descending score keeps equal scores in index order
     scores = state.upper_bounds
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return np.sort(order[: state.plays])
+    top = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)[:state.plays]
+    return sorted(top)
+
+
+def _fold(state: UcbState, arms: Sequence[int], rewards: Sequence[float],
+          costs: Sequence[float], t_next: int, rng: Optional[np.random.Generator]) -> None:
+    # ucb_update, on a round's arms and observations as lists
+    pulls, mean_r, mean_c = state.pull_counts, state.mean_reward, state.mean_cost
+    for j, r, c in zip(arms, rewards, costs):
+        n = pulls[j] + 1
+        pulls[j] = n
+        mean_r[j] += (r - mean_r[j]) / n
+        mean_c[j] += (c - mean_c[j]) / n
+    state.t = t_next
+    plays, c_min = state.plays, state.c_min
+    state.exploration = [exploration_term(n, t_next, plays, c_min) for n in pulls]
+    if state.oracle_arms is not None and set(arms) != set(state.oracle_arms):
+        counters = state.suboptimal_counters
+        least = min(counters[j] for j in arms)
+        lowest = [j for j in arms if counters[j] == least]
+        if len(lowest) == 1:
+            j = lowest[0]
+        else:
+            if rng is None:
+                raise ValueError("rng required to break counter ties")
+            j = lowest[rng.integers(len(lowest))]
+        counters[j] += 1
 
 
 def ucb_update(state: UcbState, outcome: RoundOutcome, t_next: int,
@@ -112,23 +142,7 @@ def ucb_update(state: UcbState, outcome: RoundOutcome, t_next: int,
     suboptimal, the played arm with the smallest counter is incremented, ties
     broken uniformly at random from the episode's stream.
     """
-    arms = np.asarray(outcome.arms, dtype=np.intp)
-    n = state.pull_counts[arms] + 1
-    state.pull_counts[arms] = n
-    state.mean_reward[arms] += (outcome.rewards - state.mean_reward[arms]) / n
-    state.mean_cost[arms] += (outcome.costs - state.mean_cost[arms]) / n
-    state.t = t_next
-    state.exploration = _exploration_vector(state.pull_counts, t_next, state.plays, state.c_min)
-    if state.oracle_arms is not None and set(outcome.arms) != set(state.oracle_arms):
-        counters = state.suboptimal_counters[arms]
-        lowest = arms[counters == counters.min()]
-        if lowest.size == 1:
-            j = int(lowest[0])
-        else:
-            if rng is None:
-                raise ValueError("rng required to break counter ties")
-            j = int(lowest[rng.integers(lowest.size)])
-        state.suboptimal_counters[j] += 1
+    _fold(state, outcome.arms, outcome.rewards.tolist(), outcome.costs.tolist(), t_next, rng)
     return state
 
 
@@ -148,18 +162,20 @@ def ucb_run_episode(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Genera
     if env.n_arms != cfg.n_arms:
         raise ValueError("environment arm count does not match config")
     trace = EpisodeTrace(0.0, 0, 0.0)
-    state, _, _ = ucb_init(cfg, env, rng, oracle_arms)
+    state, cost, reward = ucb_init(cfg, env, rng, oracle_arms)
+    arms = tuple(range(cfg.n_arms))
+    rewards, costs = state.mean_reward[:], state.mean_cost[:]
     t, remaining = 1, cfg.budget
-    outcome = RoundOutcome(tuple(range(cfg.n_arms)), state.mean_reward.copy(),
-                           state.mean_cost.copy())
     while True:
-        remaining = trace.play(t, outcome.cost, outcome.reward, remaining)
+        remaining = trace.play(t, cost, reward, remaining)
         if record:
-            trace.rounds.append(RoundRecord(t, outcome.arms, outcome.rewards, outcome.costs,
+            trace.rounds.append(RoundRecord(t, arms, np.array(rewards), np.array(costs),
                                             None, remaining))
         if trace.stopping_time:
             return trace
         if t > 1:
-            ucb_update(state, outcome, t + 1, rng)
-        t = state.t
-        outcome = sample_round(env, ucb_select(state), rng)
+            _fold(state, arms, rewards, costs, t + 1, rng)
+        t += 1
+        arms = tuple(ucb_select(state))
+        rewards, costs = draw_round(env, arms, rng)
+        cost, reward = sum_in_order(costs), sum_in_order(rewards)

@@ -74,7 +74,8 @@ class TestRun:
 
     @pytest.mark.parametrize("breakage", [
         "nan_mean", "nan_reward", "inf_cost", "neg_inf_reward", "inf_budget", "gamma_on_ucb",
-        "zero_oracle_gain",
+        "zero_oracle_gain", "negative_seed", "fractional_replications", "fractional_n_arms",
+        "bool_plays", "fractional_horizon", "fractional_seed", "string_replications",
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
         doc = run_doc(episode_rng(1, 1))
@@ -99,11 +100,41 @@ class TestRun:
             doc["policy"] = {"name": "exp3_mb", "g": "oracle"}
             doc["config"].update(n_arms=3, budget=0.75)
             doc["environment"] = adversarial_doc(episode_rng(1, 2), t_max=3, n=3)
+        elif breakage == "negative_seed":
+            doc["base_seed"] = -1
+        elif breakage == "fractional_replications":
+            doc["replications"] = 2.5
+        elif breakage == "fractional_n_arms":
+            doc["config"]["n_arms"] = 4.7
+        elif breakage == "bool_plays":
+            doc["config"]["plays"] = True
+        elif breakage == "fractional_horizon":
+            doc["config"]["horizon"] = 10.5
+        elif breakage == "fractional_seed":
+            doc["base_seed"] = 7.5
+        elif breakage == "string_replications":
+            doc["replications"] = "3"
         else:
             doc["policy"]["gamma"] = 0.3
         cfg = write_json(tmp_path / "bad.json", doc)
         assert main(["run", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "run.json", run_doc(episode_rng(1, 1)))
+        assert main(["run", "--config", cfg, "--seed", "-1"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        doc = run_doc(episode_rng(1, 1))
+        plain = write_json(tmp_path / "plain.json", doc)
+        doc["config"].update(n_arms=4.0, plays=2.0)
+        doc.update(replications=3.0, base_seed=7.0)
+        floats = write_json(tmp_path / "floats.json", doc)
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["run", "--config", plain, "--out", str(out1)]) == 0
+        assert main(["run", "--config", floats, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_missing_file_exits_2(self):
         assert main(["run", "--config", "/nonexistent/nope.json"]) == 2
@@ -147,6 +178,13 @@ def bounds_and_run(tmp_path, capsys, doc):
         out = capsys.readouterr().out
         outcomes.append((code, json.loads(out) if code == 0 else None))
     return outcomes
+
+
+def exact_budget_doc(rows):
+    """Four arms that always cost c_min = 0.5: at K = 2 and B = 10 the
+    costs reach B exactly after ceil(B / (K c_min)) = 10 rounds."""
+    return {"type": "adversarial", "rewards": [[0.5, 0.6, 0.7, 0.8]] * rows,
+            "costs": [[0.5] * 4] * rows}
 
 
 class TestBounds:
@@ -236,17 +274,49 @@ class TestBounds:
         assert bounds == report["bound_values"]
         assert ("thm2" in bounds) == (case == "above_ten_thousand_subsets")
 
-    @pytest.mark.parametrize("breakage", ["ucb_on_adversarial", "arm_count_mismatch"])
+    @pytest.mark.parametrize("breakage", ["ucb_on_adversarial", "arm_count_mismatch",
+                                          "sequence_one_round_short"])
     def test_bounds_exit_2_where_run_does(self, tmp_path, capsys, breakage):
         doc = run_doc(episode_rng(2, 1))
         if breakage == "ucb_on_adversarial":
             doc["policy"] = {"name": "ucb_mb"}
+        elif breakage == "sequence_one_round_short":
+            # exp3_pmb's bounds do not read the oracle; T_max = ceil(B / (K c_min))
+            # is still refused, as run refuses it
+            doc["policy"] = {"name": "exp3_pmb"}
+            doc["environment"] = exact_budget_doc(rows=10)
         else:
             doc["config"]["n_arms"] = 5  # the matrices have 4 arms
         cfg = write_json(tmp_path / "bad.json", doc)
         for command in ("bounds", "run"):
             assert main([command, "--config", cfg]) == 2
             assert "config error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("policy", ["exp3_mb", "exp3_1_mb", "exp3_pmb"])
+    def test_shortest_allowed_sequence_runs(self, tmp_path, capsys, policy):
+        # T_max = ceil(B / (K c_min)) + 1: the eleventh round overdraws, so
+        # neither the oracle nor an episode runs out of rows
+        doc = bounds_doc(policy, exact_budget_doc(rows=11))
+        (bounds_code, bounds), (run_code, report) = bounds_and_run(tmp_path, capsys, doc)
+        assert bounds_code == run_code == 0
+        assert bounds == report["bound_values"]
+        assert report["oracle_gain"] == 10 * (0.7 + 0.8)
+        assert report["per_replication"][0]["stopping_time"] == 11
+
+    def test_bounds_skip_an_oracle_they_do_not_read(self, tmp_path, capsys, monkeypatch):
+        import budgetbandits.harness as harness
+
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("the exact oracle was enumerated")
+
+        monkeypatch.setattr(harness, "oracle_gain_adversarial", enumerate_nothing)
+        cfg = write_json(tmp_path / "b.json", bounds_doc("exp3_pmb", adversarial_doc(
+            episode_rng(8, 1))))
+        assert main(["bounds", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["thm5"] > 0
+        with pytest.raises(AssertionError, match="enumerated"):
+            main(["run", "--config", cfg])
 
 
 class TestLbenv:

@@ -24,11 +24,11 @@ def make_state(means_r, means_c, pulls, t, plays=2, c_min=0.5, exploration=None,
         t=t,
         plays=plays,
         c_min=c_min,
-        pull_counts=np.asarray(pulls, dtype=np.int64),
-        mean_reward=np.asarray(means_r, dtype=np.float64),
-        mean_cost=np.asarray(means_c, dtype=np.float64),
-        exploration=np.zeros(n) if exploration is None else np.asarray(exploration, dtype=np.float64),
-        suboptimal_counters=np.zeros(n, dtype=np.int64),
+        pull_counts=list(pulls),
+        mean_reward=[float(x) for x in means_r],
+        mean_cost=[float(x) for x in means_c],
+        exploration=[0.0] * n if exploration is None else [float(x) for x in exploration],
+        suboptimal_counters=[0] * n,
         oracle_arms=oracle,
     )
 
@@ -74,21 +74,21 @@ class TestSelect:
     def test_all_sentinels_tie_break_to_lowest(self):
         state = make_state([0.5, 0.9, 0.1], [0.5, 0.5, 0.5], [1, 1, 1], t=2,
                            exploration=[math.inf] * 3)
-        assert ucb_select(state).tolist() == [0, 1]
+        assert ucb_select(state) == [0, 1]
 
     def test_direct_ordering(self):
         # U = (0.9, 1.5, 1.1) with zero exploration
         state = make_state([0.9, 1.5, 1.1], [1.0, 1.0, 1.0], [5, 5, 5], t=9)
-        assert ucb_select(state).tolist() == [1, 2]
+        assert ucb_select(state) == [1, 2]
 
     def test_finite_tie_lowest_index(self):
         state = make_state([1.2, 0.3, 1.2], [1.0, 1.0, 1.0], [5, 5, 5], t=9, plays=1)
-        assert ucb_select(state).tolist() == [0]
+        assert ucb_select(state) == [0]
 
     def test_sentinel_ranks_above_finite(self):
         state = make_state([9.0, 0.1, 0.2], [1.0, 1.0, 1.0], [5, 1, 5], t=9, plays=1,
                            exploration=[0.0, math.inf, 0.0])
-        assert ucb_select(state).tolist() == [1]
+        assert ucb_select(state) == [1]
 
 
 class TestUpdate:
@@ -108,7 +108,7 @@ class TestUpdate:
         state = make_state([0.5, 0.4], [0.6, 0.6], [1, 1], t=2, plays=1, oracle=(0,))
         out = RoundOutcome((0,), np.array([1.0]), np.array([0.5]))
         ucb_update(state, out, 3, episode_rng(0, 1))
-        assert state.suboptimal_counters.sum() == 0
+        assert sum(state.suboptimal_counters) == 0
 
     def test_suboptimal_round_increments_smallest(self):
         state = make_state([0.5, 0.4, 0.3], [0.6, 0.6, 0.6], [1, 1, 1], t=2,
@@ -116,7 +116,7 @@ class TestUpdate:
         state.suboptimal_counters[:] = [0, 5, 3]
         out = RoundOutcome((1, 2), np.array([1.0, 0.0]), np.array([0.5, 0.5]))
         ucb_update(state, out, 3, episode_rng(0, 1))
-        assert state.suboptimal_counters.tolist() == [0, 5, 4]
+        assert state.suboptimal_counters == [0, 5, 4]
 
 
 class TestEpisode:
@@ -194,7 +194,7 @@ class TestEpisode:
             if set(out.arms) != {0}:
                 suboptimal += 1
             ucb_update(state, out, state.t + 1, rng)
-        assert state.suboptimal_counters.sum() == suboptimal
+        assert sum(state.suboptimal_counters) == suboptimal
 
     def test_no_leakage_into_unplayed_arms(self):
         # an arm that is never played keeps its single-observation statistics
