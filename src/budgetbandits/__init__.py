@@ -41,11 +41,8 @@ from .exp3 import (
     Variant,
     epoch_threshold,
     estimate,
-    exp31mb_epoch_done,
     exp31mb_run,
-    exp3mb_round,
     exp3mb_run_episode,
-    exp3mb_weight_update,
     exp3pm_parameters,
     exp3pm_run,
     exp3pmb_parameters,

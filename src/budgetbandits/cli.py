@@ -21,13 +21,12 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-from . import bounds as bounds_mod
 from . import serialize
-from .core import ConfigError, env_to_dict, episode_rng
+from .core import ConfigError, env_to_dict
 from .harness import (
-    ENV_STREAM,
     RunSpec,
     applicable_bounds,
+    lower_bound_env_from_dict,
     prepare,
     run_replications,
     run_spec_from_dict,
@@ -94,20 +93,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_lbenv(args: argparse.Namespace) -> int:
-    doc = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(doc.get("base_seed", 0))
-    try:
-        n = int(doc["n_arms"])
-        k = int(doc["plays"])
-        budget = float(doc["budget"])
-        c_min = float(doc["c_min"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lbenv config: {exc}") from exc
-    eps = float(doc["eps"]) if doc.get("eps") is not None else bounds_mod.tuned_eps(
-        budget, n, k, c_min)
-    good = tuple(doc["good_set"]) if doc.get("good_set") else None
-    env = bounds_mod.make_lower_bound_env(n, k, budget, c_min, eps,
-                                          episode_rng(seed, ENV_STREAM), good_set=good)
+    env, eps = lower_bound_env_from_dict(_load_config(args.config), args.seed)
     payload = env_to_dict(env)
     payload["eps"] = eps
     _emit(serialize.dumps(payload), args.out)

@@ -25,9 +25,9 @@ into the accumulators and the played arms' weights. Each row draws from its
 own generator just what its episode played alone draws, in the same order
 (one uniform per rounding step, then a stochastic round's rewards and
 costs), and every stage repeats per row the IEEE operations of the 1-d
-computation, so each row equals its lone episode bit for bit. The episode
-functions are the one-row case; exp3mb_round, estimate, exp3mb_weight_update
-and exp31mb_epoch_done are one-row calls of the same stages.
+computation, so each row equals its lone episode bit for bit. There is no
+other per-round path: the episode functions are the engine's one-row case,
+and estimate is the stage _update runs for each row.
 
 Weights are stored and updated in the log domain; see the sampling module.
 """
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -47,7 +47,6 @@ from .core import (
     BanditConfig,
     ConfigError,
     EpisodeTrace,
-    RoundOutcome,
     RoundRecord,
     SequenceExhausted,
     StochasticEnv,
@@ -56,7 +55,6 @@ from .core import (
     validate_config,
 )
 from .sampling import (
-    ProbabilityVector,
     WeightVector,
     _pairwise_steps,
     _rounding_start,
@@ -79,42 +77,32 @@ class Variant(str, Enum):
 
 @dataclass
 class Exp3State:
-    """Mutable policy state shared by all variants.
+    """The engine's mutable policy state, one row per live episode.
 
-    gain_acc / loss_acc accumulate the importance-weighted reward and cost
-    estimates Ghat_i / Lhat_i; sigma_acc accumulates the confidence widths of
-    the high-probability variants. ``t`` is the global 1-based round counter
-    (it keeps running across epoch restarts). ``conf_scale`` is the variant's
-    per-round confidence factor (1/sqrt(NT) or sqrt(K c_min)/sqrt(NB)). The
-    engine keeps (rows, N) arrays and a (rows, 1) gamma, a row per episode.
+    log_weights, gain_acc / loss_acc (the accumulated importance-weighted
+    reward and cost estimates Ghat_i / Lhat_i) and sigma_acc (the confidence
+    widths of the high-probability variants) are (rows, N) arrays; gamma is
+    a (rows, 1) column. ``conf_scale`` is the variant's per-round confidence
+    factor (1/sqrt(NT) or sqrt(K c_min)/sqrt(NB)).
     """
 
     log_weights: np.ndarray
     gain_acc: np.ndarray
     loss_acc: np.ndarray
     sigma_acc: np.ndarray
-    gamma: float | np.ndarray
+    gamma: np.ndarray
     variant: Variant
     n_arms: int
     plays: int
     alpha: Optional[float] = None
     conf_scale: Optional[float] = None
-    t: int = 1
 
     @property
-    def weight_rate(self) -> float | np.ndarray:
+    def weight_rate(self) -> np.ndarray:
         """Multiplier of the estimate inside the weight exponent."""
         if self.variant in (Variant.MB, Variant.ONE_MB):
             return self.plays * self.gamma / self.n_arms
         return self.gamma * self.plays / (3.0 * self.n_arms)
-
-
-def make_mb_state(cfg: BanditConfig, gamma: float) -> Exp3State:
-    if not 0.0 < gamma <= 1.0:
-        raise ConfigError("gamma must lie in (0, 1]")
-    n = cfg.n_arms
-    return Exp3State(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), gamma, Variant.MB, n,
-                     cfg.plays)
 
 
 def _row_ratio(gamma: float, plays: int, n_arms: int) -> float:
@@ -169,9 +157,14 @@ def _observe(state: Exp3State, ratio: np.ndarray, env: StochasticEnv | Adversari
     return p, capped, arms, [x for x, _ in drawn], [c for _, c in drawn]
 
 
-def _estimate_row(p: list[float], arms: Sequence[int], rewards: Sequence[float],
-                  costs: Sequence[float]) -> tuple[list[float], list[float]]:
-    """One row's importance-weighted estimates x / p at its played arms."""
+def estimate(p: Sequence[float], arms: Sequence[int], rewards: Sequence[float],
+             costs: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Importance-weighted estimates x / p at the played ``arms``, in their order.
+
+    ``p`` holds every arm's inclusion probability, ``rewards`` and ``costs``
+    the played arms' observations. An arm is played with probability p_i, so
+    E[x_i / p_i * 1(played)] = x_i; the estimate of an arm not played is 0.
+    """
     pa = [p[j] for j in arms]
     if any(q <= 0.0 for q in pa):
         raise ValueError("played arm has zero inclusion probability")
@@ -201,7 +194,7 @@ def _update(state: Exp3State, p: np.ndarray, capped: Optional[np.ndarray], arms:
     skip = capped if variant is Variant.MB else None
     p_rows = p.tolist()
     for r, a in enumerate(arms):
-        rhat, chat = _estimate_row(p_rows[r], a, rewards[r], costs[r])
+        rhat, chat = estimate(p_rows[r], a, rewards[r], costs[r])
         gain, loss, lw = state.gain_acc[r], state.loss_acc[r], state.log_weights[r]
         for j, u, v in zip(a, rhat, chat):
             gain[j] += u
@@ -217,62 +210,6 @@ def _update(state: Exp3State, p: np.ndarray, capped: Optional[np.ndarray], arms:
         if capped is not None:
             step[capped] = 0.0
         state.log_weights += step
-
-
-def _rows_of(state: Exp3State) -> Exp3State:
-    """A one-episode state seen as the engine's single row (views, not copies)."""
-    return replace(state, log_weights=state.log_weights[None], gain_acc=state.gain_acc[None],
-                   loss_acc=state.loss_acc[None], sigma_acc=state.sigma_acc[None],
-                   gamma=np.array([[state.gamma]]))
-
-
-def estimate(outcome: RoundOutcome, probabilities: ProbabilityVector) -> tuple[np.ndarray, np.ndarray]:
-    """Importance-weighted estimates: x / p for played arms, zero elsewhere.
-
-    Conditionally unbiased given the probabilities: each arm is included with
-    probability p_i, so E[x_i / p_i * 1(played)] = x_i.
-    """
-    arms = list(outcome.arms)
-    rhat = np.zeros(probabilities.p.shape[0])
-    chat = np.zeros(probabilities.p.shape[0])
-    rhat[arms], chat[arms] = _estimate_row(probabilities.p.tolist(), arms,
-                                           outcome.rewards.tolist(), outcome.costs.tolist())
-    return rhat, chat
-
-
-def exp3mb_weight_update(state: Exp3State, rhat: np.ndarray, chat: np.ndarray,
-                         capped: np.ndarray) -> Exp3State:
-    """Budgeted rule: log w_i += (K gamma / N)(rhat_i - chat_i) for i outside the cap set."""
-    # the one-row update at every arm, its estimates given (x / 1 = x) and
-    # its accumulator folds thrown away
-    n = state.n_arms
-    keep = np.zeros((1, n), dtype=bool)
-    keep[0, capped] = True
-    scratch = replace(_rows_of(state), variant=Variant.MB, gain_acc=np.zeros((1, n)),
-                      loss_acc=np.zeros((1, n)))
-    _update(scratch, np.ones((1, n)), keep, [range(n)], [rhat.tolist()], [chat.tolist()])
-    return state
-
-
-def exp3mb_round(state: Exp3State, env: StochasticEnv | AdversarialEnv, cfg: BanditConfig,
-                 budget_remaining: Optional[float], rng: np.random.Generator,
-                 ) -> tuple[RoundOutcome, ProbabilityVector, bool]:
-    """Play one round; returns (outcome, probabilities, terminated).
-
-    On termination (round cost exceeding the remaining budget) the state is
-    left untouched: no weight update, no accumulator update, no time step.
-    Passing ``budget_remaining=None`` disables the budget check (fixed-horizon
-    variant).
-    """
-    rows = _rows_of(state)
-    ratio = np.array([_row_ratio(state.gamma, state.plays, state.n_arms)])
-    p, capped, arms, rewards, costs = _observe(rows, ratio, env, state.t, [rng])
-    outcome = RoundOutcome(tuple(arms[0]), np.array(rewards[0]), np.array(costs[0]))
-    if budget_remaining is not None and outcome.cost > budget_remaining:
-        return outcome, ProbabilityVector(p[0]), True
-    _update(rows, p, capped, arms, rewards, costs)
-    state.t += 1
-    return outcome, ProbabilityVector(p[0]), False
 
 
 def tune_gamma_mb(gain_bound: float, budget: float, n_arms: int, plays: int,
@@ -314,17 +251,6 @@ def _best_subset_totals(gain_acc: np.ndarray, loss_acc: np.ndarray, plays: int) 
 def _epoch_target(g_r: float, gamma_r: float, n_arms: int, plays: int, c_min: float) -> float:
     # the best-subset total that ends an epoch: g_r - N(1 - c_min)/(K gamma_r)
     return g_r - n_arms * (1.0 - c_min) / (plays * gamma_r)
-
-
-def exp31mb_epoch_done(gain_acc: np.ndarray, loss_acc: np.ndarray, g_r: float,
-                       gamma_r: float, n_arms: int, plays: int, c_min: float) -> bool:
-    """Epoch ends once the best K-subset of (Ghat - Lhat) exceeds the target.
-
-    The maximum of sum_{i in a}(Ghat_i - Lhat_i) over all K-subsets is the sum
-    of the K largest entries, compared against g_r - N(1 - c_min)/(K gamma_r).
-    """
-    total = float(_best_subset_totals(gain_acc, loss_acc, plays))
-    return total > _epoch_target(g_r, gamma_r, n_arms, plays, c_min)
 
 
 def play_lockstep(variant: Variant, cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
@@ -416,14 +342,9 @@ def play_lockstep(variant: Variant, cfg: BanditConfig, env: StochasticEnv | Adve
 
 def exp3mb_run_episode(cfg: BanditConfig, env: StochasticEnv | AdversarialEnv,
                        rng: np.random.Generator, gamma: Optional[float] = None,
-                       gain_bound: Optional[float] = None,
                        record: bool = True) -> EpisodeTrace:
-    """Budgeted episode; supply gamma directly or a gain bound g to tune it."""
-    validate_config(cfg)
-    if gamma is None:
-        if gain_bound is None:
-            raise ConfigError("supply gamma or a gain bound g")
-        gamma = tune_gamma_mb(gain_bound, cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min)
+    """Budgeted episode at exploration rate ``gamma`` in (0, 1]; a missing
+    gamma is a ConfigError. tune_gamma_mb turns a gain bound g into gamma."""
     return play_lockstep(Variant.MB, cfg, env, [rng], gamma, record)[0]
 
 

@@ -57,6 +57,7 @@ from .core import (
     ConfigError,
     EpisodeTrace,
     StochasticEnv,
+    _check_arms,
     default_t_max,
     env_from_dict,
     env_to_dict,
@@ -127,8 +128,7 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if self.base_seed < 0:
-            raise ConfigError("base_seed must be >= 0")
+        _seed(self.base_seed)
 
 
 @dataclass(frozen=True)
@@ -165,11 +165,9 @@ def simulate_fixed_subset(env: AdversarialEnv, arms: Sequence[int], budget: floa
     formulation: the remainder is tracked by sequential subtraction and the
     round whose cost exceeds it is not credited.
     """
-    subset = tuple(sorted(int(a) for a in arms))
+    subset = tuple(sorted(_check_arms(arms, env.n_arms)))
     if not subset:
         raise ConfigError("a subset needs at least one arm")
-    if any(not -env.n_arms <= a < env.n_arms for a in subset):
-        raise IndexError("arm index out of range")
     return _best_subset(env, iter([subset]), 1, len(subset), budget)[1]
 
 
@@ -648,6 +646,39 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(value) -> int:
+    """A base seed: read by _integer and at least 0."""
+    seed = _integer(value, "base_seed")
+    if seed < 0:
+        raise ConfigError("base_seed must be >= 0")
+    return seed
+
+
+def _good_set(value) -> Optional[tuple[int, ...]]:
+    """A lower-bound instance's good arms, each read by _integer; None if unset."""
+    return tuple(_integer(a, "good_set entry") for a in value) if value else None
+
+
+def lower_bound_env_from_dict(doc: dict,
+                              seed: Optional[int] = None) -> tuple[AdversarialEnv, float]:
+    """The lower-bound instance an lbenv config describes, and its eps; a
+    given ``seed`` replaces base_seed. Drawn as materialize_environment draws it."""
+    try:
+        seed = _seed(doc.get("base_seed", 0) if seed is None else seed)
+        n = _integer(doc["n_arms"], "n_arms")
+        k = _integer(doc["plays"], "plays")
+        budget = float(doc["budget"])
+        c_min = float(doc["c_min"])
+        good = _good_set(doc.get("good_set"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad lbenv config: {exc}") from exc
+    eps = float(doc["eps"]) if doc.get("eps") is not None else bounds_mod.tuned_eps(
+        budget, n, k, c_min)
+    env = bounds_mod.make_lower_bound_env(n, k, budget, c_min, eps,
+                                          episode_rng(seed, ENV_STREAM), good_set=good)
+    return env, eps
+
+
 def run_spec_from_dict(doc: dict) -> RunSpec:
     try:
         cfg_doc = doc["config"]
@@ -670,7 +701,7 @@ def run_spec_from_dict(doc: dict) -> RunSpec:
         if env_doc.get("type") == "lower_bound":
             environment: Environment = LowerBoundSpec(
                 eps=float(env_doc["eps"]) if env_doc.get("eps") is not None else None,
-                good_set=tuple(env_doc["good_set"]) if env_doc.get("good_set") else None,
+                good_set=_good_set(env_doc.get("good_set")),
             )
         else:
             environment = env_from_dict(env_doc)
@@ -679,7 +710,7 @@ def run_spec_from_dict(doc: dict) -> RunSpec:
             policy=policy,
             environment=environment,
             replications=_integer(doc.get("replications", 1), "replications"),
-            base_seed=_integer(doc.get("base_seed", 0), "base_seed"),
+            base_seed=_seed(doc.get("base_seed", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

@@ -11,9 +11,8 @@ sit in Python lists, a round takes the top K of the (-score, index) order and
 plays them in ascending order, core.draw_round draws their rewards and costs
 with one call into the generator, and only the played arms' means move
 before every bonus is recomputed with exploration_term at the next round.
-The episode selects with ucb_select and folds with the helper that
-ucb_update calls, so it equals the ucb_select / sample_round / ucb_update
-loop bit for bit.
+The episode is the ucb_init / ucb_select / draw_round / ucb_update loop, and
+those are the stages it calls.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 from .core import (
     BanditConfig,
     EpisodeTrace,
-    RoundOutcome,
     RoundRecord,
     StochasticEnv,
     draw_round,
@@ -108,9 +106,16 @@ def ucb_select(state: UcbState) -> list[int]:
     return sorted(top)
 
 
-def _fold(state: UcbState, arms: Sequence[int], rewards: Sequence[float],
-          costs: Sequence[float], t_next: int, rng: Optional[np.random.Generator]) -> None:
-    # ucb_update, on a round's arms and observations as lists
+def ucb_update(state: UcbState, arms: Sequence[int], rewards: Sequence[float],
+               costs: Sequence[float], t_next: int,
+               rng: Optional[np.random.Generator] = None) -> None:
+    """Fold one round's played arms and observations into the state, in place.
+
+    Running means move only for played arms; exploration is recomputed for all
+    arms at ``t_next``. When an oracle arm set is attached and this round was
+    suboptimal, the played arm with the smallest counter is incremented, ties
+    broken uniformly at random from the episode's stream.
+    """
     pulls, mean_r, mean_c = state.pull_counts, state.mean_reward, state.mean_cost
     for j, r, c in zip(arms, rewards, costs):
         n = pulls[j] + 1
@@ -131,19 +136,6 @@ def _fold(state: UcbState, arms: Sequence[int], rewards: Sequence[float],
                 raise ValueError("rng required to break counter ties")
             j = lowest[rng.integers(len(lowest))]
         counters[j] += 1
-
-
-def ucb_update(state: UcbState, outcome: RoundOutcome, t_next: int,
-               rng: Optional[np.random.Generator] = None) -> UcbState:
-    """Fold one round's observations into the state, in place.
-
-    Running means move only for played arms; exploration is recomputed for all
-    arms at ``t_next``. When an oracle arm set is attached and this round was
-    suboptimal, the played arm with the smallest counter is incremented, ties
-    broken uniformly at random from the episode's stream.
-    """
-    _fold(state, outcome.arms, outcome.rewards.tolist(), outcome.costs.tolist(), t_next, rng)
-    return state
 
 
 def ucb_run_episode(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Generator,
@@ -174,7 +166,7 @@ def ucb_run_episode(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Genera
         if trace.stopping_time:
             return trace
         if t > 1:
-            _fold(state, arms, rewards, costs, t + 1, rng)
+            ucb_update(state, arms, rewards, costs, t + 1, rng)
         t += 1
         arms = tuple(ucb_select(state))
         rewards, costs = draw_round(env, arms, rng)

@@ -18,7 +18,6 @@ from budgetbandits import (
     AdversarialEnv,
     BanditConfig,
     PolicySpec,
-    ProbabilityVector,
     RunSpec,
     StochasticEnv,
     WeightVector,
@@ -29,8 +28,6 @@ from budgetbandits import (
     estimate,
     exp31mb_run,
     exp3mb_run_episode,
-    exp3mb_weight_update,
-    exp3pm_run,
     exp3pmb_run,
     make_lower_bound_env,
     oracle_gain_adversarial,
@@ -46,9 +43,9 @@ from budgetbandits import (
     tuned_eps,
     ucb_run_episode,
 )
+from budgetbandits import exp3
 from budgetbandits.bounds import StochasticBoundParams
-from budgetbandits.core import RoundOutcome
-from budgetbandits.exp3 import make_mb_state
+from budgetbandits.exp3 import Exp3State, Variant, play_lockstep
 from budgetbandits.sampling import cap_ratio
 
 
@@ -121,7 +118,6 @@ def test_03_estimator_unbiasedness():
         costs = np.array([0.6, 0.9, 0.7])
         draws = 10 ** 5
         sample = dependent_rounding_batch(2, p, draws, rng)
-        pv = ProbabilityVector(p)
         sums_r = np.zeros(3)
         sums_c = np.zeros(3)
         included = np.zeros((draws, 3), dtype=bool)
@@ -137,10 +133,10 @@ def test_03_estimator_unbiasedness():
         assert np.all(np.abs(mean_r - rewards) <= 3.0 * sigma_r)
         assert np.all(np.abs(mean_c - costs) <= 3.0 * sigma_c)
         # spot check the estimate() op on one concrete outcome
-        out = RoundOutcome((0, 2), rewards[[0, 2]], costs[[0, 2]])
-        rhat, chat = estimate(out, pv)
+        rhat, chat = estimate(p.tolist(), (0, 2), rewards[[0, 2]].tolist(),
+                              costs[[0, 2]].tolist())
         assert rhat[0] == pytest.approx(rewards[0] / p[0])
-        assert chat[2] == pytest.approx(costs[2] / p[2])
+        assert chat[1] == pytest.approx(costs[2] / p[2])
 
 
 def test_04_exp3_reduction():
@@ -148,8 +144,9 @@ def test_04_exp3_reduction():
         n, gamma, rounds = 6, 0.25, 1000
         rng = episode_rng(1004, 1)
         rewards = rng.random((rounds, n))
-        cfg = BanditConfig(n_arms=n, plays=1, budget=1.0, c_min=0.5)
-        state = make_mb_state(cfg, gamma)
+        # the engine's state of one budgeted episode, as its single row
+        state = Exp3State(np.zeros((1, n)), np.zeros((1, n)), np.zeros((1, n)),
+                          np.zeros((1, n)), np.array([[gamma]]), Variant.MB, n, 1)
         classic_lw = np.zeros(n)
         arm_rng = episode_rng(1004, 2)
         for t in range(rounds):
@@ -159,13 +156,11 @@ def test_04_exp3_reduction():
             r = rewards[t, arm]
             classic_lw[arm] += (gamma / n) * (r / p_classic[arm])
 
-            cap = compute_cap(WeightVector(state.log_weights), gamma, 1, n)
+            cap = compute_cap(WeightVector(state.log_weights[0]), gamma, 1, n)
             assert cap.capped.size == 0
             probs = compute_probabilities(cap, gamma, 1)
-            out = RoundOutcome((arm,), np.array([r]), np.array([0.0]))
-            rhat, chat = estimate(out, probs)
-            exp3mb_weight_update(state, rhat, chat, cap.capped)
-        assert np.max(np.abs(state.log_weights - classic_lw)) <= 1e-10
+            exp3._update(state, probs.p[None], None, [(arm,)], [[r]], [[0.0]])
+        assert np.max(np.abs(state.log_weights[0] - classic_lw)) <= 1e-10
 
 
 def _check_budget_trace(trace, budget, k):
@@ -310,6 +305,12 @@ def _rational_instances(n_instances, n, t_max, seed):
 EXP3_N, EXP3_K, EXP3_CMIN, EXP3_B = 8, 2, 0.5, 400.0
 
 
+def replication_rngs(seed, count):
+    """Streams 1..count of ``seed``: replication i of one lockstep pass is
+    bit for bit the episode it plays alone on episode_rng(seed, i + 1)."""
+    return [episode_rng(seed, i + 1) for i in range(count)]
+
+
 @pytest.fixture(scope="module")
 def exp3_instances():
     t_max = int(math.ceil(EXP3_B / (EXP3_K * EXP3_CMIN))) + 1
@@ -324,11 +325,8 @@ def test_08_exp3mb_upper_bound(exp3_instances):
         cfg = BanditConfig(n_arms=EXP3_N, plays=EXP3_K, budget=EXP3_B, c_min=EXP3_CMIN)
         for env, g_max in exp3_instances:
             gamma = tune_gamma_mb(g_max, EXP3_B, EXP3_N, EXP3_K, EXP3_CMIN)
-            gains = []
-            for rep in range(200):
-                trace = exp3mb_run_episode(cfg, env, episode_rng(1018, rep + 1),
-                                           gamma=gamma, record=False)
-                gains.append(trace.gain)
+            traces = play_lockstep(Variant.MB, cfg, env, replication_rngs(1018, 200), gamma)
+            gains = [trace.gain for trace in traces]
             mean_regret = g_max - float(np.mean(gains))
             bound = thm2_bound(g_max, EXP3_B, EXP3_N, EXP3_K, EXP3_CMIN)
             assert mean_regret <= bound
@@ -341,8 +339,7 @@ def test_09_exp31mb_epoch_law(exp3_instances):
         c = EXP3_N * math.log(EXP3_N / EXP3_K) / (
             (math.e - 1.0) - (math.e - 2.0) * EXP3_CMIN)
         for env, _ in exp3_instances:
-            for rep in range(200):
-                trace = exp31mb_run(cfg, env, episode_rng(1019, rep + 1), record=False)
+            for trace in play_lockstep(Variant.ONE_MB, cfg, env, replication_rngs(1019, 200)):
                 completed = trace.extras["epochs_completed"]
                 diff = trace.extras["gain_acc"] - trace.extras["loss_acc"]
                 top = np.sort(diff)[-EXP3_K:].sum()
@@ -364,8 +361,7 @@ def test_10_high_probability_bounds():
         _, g_max = oracle_gain_fixed_horizon(env, horizon, 2)
         bound = thm4_bound(8, 2, horizon, 0.1)
         violations = 0
-        for rep in range(200):
-            trace = exp3pm_run(cfg, env, episode_rng(1020, rep + 1), record=False)
+        for trace in play_lockstep(Variant.PM, cfg, env, replication_rngs(1020, 200)):
             if g_max - trace.gain > bound:
                 violations += 1
         assert violations / 200 <= allowed
@@ -378,8 +374,7 @@ def test_10_high_probability_bounds():
         _, g_max_b = oracle_gain_adversarial(env_b, cfg_b)
         bound_b = thm5_bound(8, 2, 400.0, 0.5, 0.1)
         violations = 0
-        for rep in range(200):
-            trace = exp3pmb_run(cfg_b, env_b, episode_rng(1021, rep + 1), record=False)
+        for trace in play_lockstep(Variant.PMB, cfg_b, env_b, replication_rngs(1021, 200)):
             if g_max_b - trace.gain > bound_b:
                 violations += 1
         assert violations / 200 <= allowed
@@ -394,11 +389,8 @@ def test_11_lower_bound_instance_is_hard():
         cfg = BanditConfig(n_arms=n, plays=k, budget=budget, c_min=c_min)
         _, g_max = oracle_gain_adversarial(env, cfg)
         gamma = tune_gamma_mb(g_max, budget, n, k, c_min)
-        gains = []
-        for rep in range(300):
-            trace = exp3mb_run_episode(cfg, env, episode_rng(1011, rep + 1),
-                                       gamma=gamma, record=False)
-            gains.append(trace.gain)
+        traces = play_lockstep(Variant.MB, cfg, env, replication_rngs(1011, 300), gamma)
+        gains = [trace.gain for trace in traces]
         mean_regret = g_max - float(np.mean(gains))
         floor = 0.25 * thm3_lower_bound(budget, n, k, c_min).value
         assert mean_regret >= floor

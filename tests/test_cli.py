@@ -76,6 +76,7 @@ class TestRun:
         "nan_mean", "nan_reward", "inf_cost", "neg_inf_reward", "inf_budget", "gamma_on_ucb",
         "zero_oracle_gain", "negative_seed", "fractional_replications", "fractional_n_arms",
         "bool_plays", "fractional_horizon", "fractional_seed", "string_replications",
+        "fractional_good_set",
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
         doc = run_doc(episode_rng(1, 1))
@@ -114,6 +115,8 @@ class TestRun:
             doc["base_seed"] = 7.5
         elif breakage == "string_replications":
             doc["replications"] = "3"
+        elif breakage == "fractional_good_set":
+            doc["environment"] = {"type": "lower_bound", "eps": 0.1, "good_set": [0.5, 1.9]}
         else:
             doc["policy"]["gamma"] = 0.3
         cfg = write_json(tmp_path / "bad.json", doc)
@@ -340,6 +343,36 @@ class TestLbenv:
         doc = json.loads(capsys.readouterr().out)
         from budgetbandits import tuned_eps
         assert doc["eps"] == pytest.approx(tuned_eps(20.0, 5, 2, 0.5))
+
+    @pytest.mark.parametrize("breakage", ["fractional_n_arms", "bool_plays", "negative_seed",
+                                          "fractional_good_set", "negative_seed_flag"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
+        doc = {"n_arms": 4, "plays": 2, "budget": 20.0, "c_min": 0.5, "base_seed": 3}
+        flags = []
+        if breakage == "fractional_n_arms":
+            doc["n_arms"] = 4.7
+        elif breakage == "bool_plays":
+            doc["plays"] = True
+        elif breakage == "negative_seed":
+            doc["base_seed"] = -1
+        elif breakage == "fractional_good_set":
+            doc["good_set"] = [0.5, 1.9]
+        else:
+            flags = ["--seed", "-1"]
+        cfg = write_json(tmp_path / "lb.json", doc)
+        assert main(["lbenv", "--config", cfg] + flags) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        doc = {"n_arms": 5, "plays": 2, "budget": 20.0, "c_min": 0.5, "eps": 0.1,
+               "good_set": [1, 3], "base_seed": 3}
+        plain = write_json(tmp_path / "plain.json", doc)
+        doc.update(n_arms=5.0, plays=2.0, good_set=[1.0, 3.0], base_seed=3.0)
+        floats = write_json(tmp_path / "floats.json", doc)
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["lbenv", "--config", plain, "--out", str(out1)]) == 0
+        assert main(["lbenv", "--config", floats, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestSweep:

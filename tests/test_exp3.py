@@ -7,23 +7,24 @@ from budgetbandits import (
     AdversarialEnv,
     BanditConfig,
     ConfigError,
-    ProbabilityVector,
+    PolicySpec,
+    RunSpec,
+    WeightVector,
+    compute_cap,
+    compute_probabilities,
     epoch_threshold,
     episode_rng,
     estimate,
-    exp31mb_epoch_done,
     exp31mb_run,
-    exp3mb_round,
     exp3mb_run_episode,
-    exp3mb_weight_update,
     exp3pm_parameters,
     exp3pm_run,
     exp3pmb_parameters,
     exp3pmb_run,
     tune_gamma_mb,
 )
-from budgetbandits.core import RoundOutcome
-from budgetbandits.exp3 import make_mb_state
+from budgetbandits import exp3, harness
+from budgetbandits.exp3 import Exp3State, Variant
 from itertools import combinations
 
 E = math.e
@@ -34,113 +35,131 @@ def constant_env(t_max, n, reward, cost):
                           costs=np.full((t_max, n), cost))
 
 
+def one_row_state(n, plays, gamma, log_weights=None):
+    """The engine's state of one budgeted episode, as its single row."""
+    lw = np.zeros((1, n)) if log_weights is None else np.array([log_weights], dtype=float)
+    return Exp3State(lw, np.zeros((1, n)), np.zeros((1, n)), np.zeros((1, n)),
+                     np.array([[gamma]]), Variant.MB, n, plays)
+
+
+def update(state, p, arms, rewards, costs, capped=None):
+    """One round folded into a one-row state: the engine's update stage."""
+    mask = None
+    if capped is not None:
+        mask = np.zeros((1, state.n_arms), dtype=bool)
+        mask[0, capped] = True
+    exp3._update(state, np.array([p], dtype=float), mask, [arms], [rewards], [costs])
+
+
+def epoch_done(gain, loss, g_r, gamma_r, n, k, c_min):
+    """The doubling trick's epoch test, as the engine runs it."""
+    total = float(exp3._best_subset_totals(gain, loss, k))
+    return total > exp3._epoch_target(g_r, gamma_r, n, k, c_min)
+
+
 class TestEstimate:
     def test_played_arm_definition(self):
-        out = RoundOutcome((0,), np.array([0.7]), np.array([0.6]))
-        rhat, chat = estimate(out, ProbabilityVector(np.array([0.5, 0.5])))
+        rhat, chat = estimate([0.5, 0.5], (0,), [0.7], [0.6])
         assert rhat[0] == pytest.approx(1.4)
         assert chat[0] == pytest.approx(1.2)
 
     def test_unplayed_arm_is_zero(self):
-        out = RoundOutcome((0,), np.array([0.7]), np.array([0.6]))
-        rhat, chat = estimate(out, ProbabilityVector(np.array([0.5, 0.5])))
-        assert rhat[1] == 0.0 and chat[1] == 0.0
+        # only the played arm's accumulators and weight move
+        state = one_row_state(2, 1, 0.5)
+        update(state, [0.5, 0.5], (0,), [0.7], [0.6])
+        assert state.gain_acc[0, 1] == 0.0 and state.loss_acc[0, 1] == 0.0
+        assert state.log_weights[0, 1] == 0.0
+        assert state.gain_acc[0, 0] == pytest.approx(1.4)
 
     def test_monte_carlo_unbiasedness(self):
         # inclusion with p = 0.25, r = 0.6: the mean estimate converges to r
         rng = episode_rng(8, 1)
-        p = ProbabilityVector(np.array([0.25, 0.75]))
+        p = [0.25, 0.75]
         n = 10 ** 5
         included = rng.random(n) < 0.25
         total_r = 0.0
         total_c = 0.0
         for inc in included:
-            if inc:
-                out = RoundOutcome((0,), np.array([0.6]), np.array([0.5]))
-            else:
-                out = RoundOutcome((1,), np.array([0.0]), np.array([0.5]))
-            rhat, chat = estimate(out, p)
-            total_r += rhat[0]
-            total_c += chat[0]
+            if inc:  # arm 0's estimate is 0 in a round that plays arm 1
+                rhat, chat = estimate(p, (0,), [0.6], [0.5])
+                total_r += rhat[0]
+                total_c += chat[0]
         assert abs(total_r / n - 0.6) < 0.01
         assert abs(total_c / n - 0.5) < 0.012
 
 
 class TestWeightUpdate:
+    # played arms observed with p = 1 have estimates equal to their observations
     def test_zero_estimates_leave_weights(self):
-        cfg = BanditConfig(n_arms=3, plays=2, budget=10.0, c_min=0.5)
-        state = make_mb_state(cfg, 0.4)
-        exp3mb_weight_update(state, np.zeros(3), np.zeros(3), np.empty(0, dtype=np.intp))
-        assert np.array_equal(state.log_weights, np.zeros(3))
+        state = one_row_state(3, 2, 0.4)
+        update(state, [1.0] * 3, (0, 1), [0.0, 0.0], [0.0, 0.0])
+        assert np.array_equal(state.log_weights, np.zeros((1, 3)))
 
     def test_cancellation(self):
-        cfg = BanditConfig(n_arms=3, plays=2, budget=10.0, c_min=0.5)
-        state = make_mb_state(cfg, 0.4)
-        est = np.array([1.7, 0.0, 0.0])
-        exp3mb_weight_update(state, est, est.copy(), np.empty(0, dtype=np.intp))
-        assert np.array_equal(state.log_weights, np.zeros(3))
+        state = one_row_state(3, 2, 0.4)
+        update(state, [1.0] * 3, (0, 1), [1.7, 0.0], [1.7, 0.0])
+        assert np.array_equal(state.log_weights, np.zeros((1, 3)))
 
     def test_hand_increment(self):
-        # K=1, N=2, gamma=0.5, rhat=2, chat=0 -> log step (0.5/2)*2 = 0.5
-        cfg = BanditConfig(n_arms=2, plays=1, budget=10.0, c_min=0.5)
-        state = make_mb_state(cfg, 0.5)
-        exp3mb_weight_update(state, np.array([2.0, 0.0]), np.zeros(2),
-                             np.empty(0, dtype=np.intp))
-        assert state.log_weights[0] == pytest.approx(0.5)
-        assert state.log_weights[1] == 0.0
+        # K=1, N=2, gamma=0.5, rhat = 1 / 0.5 = 2, chat=0 -> log step (0.5/2)*2 = 0.5
+        state = one_row_state(2, 1, 0.5)
+        update(state, [0.5, 0.5], (0,), [1.0], [0.0])
+        assert state.log_weights[0, 0] == pytest.approx(0.5)
+        assert state.log_weights[0, 1] == 0.0
 
     def test_capped_arm_unchanged(self):
-        cfg = BanditConfig(n_arms=3, plays=2, budget=10.0, c_min=0.5)
-        state = make_mb_state(cfg, 0.4)
-        state.log_weights[:] = [2.0, 0.0, 0.0]
-        exp3mb_weight_update(state, np.array([3.0, 1.0, 0.0]), np.zeros(3),
-                             np.asarray([0], dtype=np.intp))
-        assert state.log_weights[0] == 2.0
-        assert state.log_weights[1] > 0.0
+        state = one_row_state(3, 2, 0.4, log_weights=[2.0, 0.0, 0.0])
+        update(state, [1.0] * 3, (0, 1), [3.0, 1.0], [0.0, 0.0], capped=[0])
+        assert state.log_weights[0, 0] == 2.0
+        assert state.log_weights[0, 1] > 0.0
 
 
 class TestRound:
     def test_gamma_one_is_uniform(self):
-        cfg = BanditConfig(n_arms=4, plays=2, budget=20.0, c_min=0.5)
+        # one round of the engine's stages on a one-row state
         env = constant_env(50, 4, 0.5, 0.5)
-        state = make_mb_state(cfg, 1.0)
-        state.log_weights[:] = [5.0, -3.0, 0.0, 1.0]  # weights must not matter
-        _, probs, terminated = exp3mb_round(state, env, cfg, 20.0, episode_rng(0, 1))
-        assert not terminated
-        assert np.allclose(probs.p, 0.5)
+        state = one_row_state(4, 2, 1.0, log_weights=[5.0, -3.0, 0.0, 1.0])  # must not matter
+        ratio = np.array([exp3._row_ratio(1.0, 2, 4)])
+        p, capped, arms, _, _ = exp3._observe(state, ratio, env, 1, [episode_rng(0, 1)])
+        assert capped is None and len(arms[0]) == 2
+        assert np.allclose(p, 0.5)
 
     def test_cost_floor_forces_termination(self):
-        cfg = BanditConfig(n_arms=4, plays=2, budget=20.0, c_min=0.5)
+        # the first round costs 1.0 > B = 0.9: it is neither credited nor charged
+        cfg = BanditConfig(n_arms=4, plays=2, budget=0.9, c_min=0.5)
         env = constant_env(50, 4, 0.5, 0.5)
-        state = make_mb_state(cfg, 0.3)
-        before = state.log_weights.copy()
-        _, _, terminated = exp3mb_round(state, env, cfg, 0.9, episode_rng(0, 1))
-        assert terminated
-        # terminal round mutates nothing
-        assert np.array_equal(state.log_weights, before)
-        assert state.t == 1
-        assert state.gain_acc.sum() == 0.0
+        trace = exp3mb_run_episode(cfg, env, episode_rng(0, 1), gamma=0.3, record=True)
+        assert trace.stopping_time == 1
+        assert trace.gain == 0.0 and trace.budget_spent == 0.0
+        assert len(trace.rounds) == 1
+        assert trace.rounds[0].budget_remaining == 0.9
+        # and it folds nothing into the state: the accumulators stay at zero
+        trace = exp31mb_run(cfg, env, episode_rng(0, 1))
+        assert trace.stopping_time == 1
+        assert not trace.extras["gain_acc"].any() and not trace.extras["loss_acc"].any()
 
     def test_round_reproducible(self):
         cfg = BanditConfig(n_arms=2, plays=1, budget=10.0, c_min=0.5)
         env = constant_env(30, 2, 1.0, 0.5)
-        s1 = make_mb_state(cfg, 0.3)
-        s2 = make_mb_state(cfg, 0.3)
-        o1, p1, _ = exp3mb_round(s1, env, cfg, 10.0, episode_rng(4, 9))
-        o2, p2, _ = exp3mb_round(s2, env, cfg, 10.0, episode_rng(4, 9))
-        assert o1.arms == o2.arms
-        assert np.array_equal(p1.p, p2.p)
-        assert np.array_equal(s1.log_weights, s2.log_weights)
+        t1 = exp3mb_run_episode(cfg, env, episode_rng(4, 9), gamma=0.3, record=True)
+        t2 = exp3mb_run_episode(cfg, env, episode_rng(4, 9), gamma=0.3, record=True)
+        assert [r.arms for r in t1.rounds] == [r.arms for r in t2.rounds]
+        for r1, r2 in zip(t1.rounds, t2.rounds):
+            assert np.array_equal(r1.probabilities, r2.probabilities)
+        assert t1.gain == t2.gain
 
     def test_capped_arm_probability_one_and_stable_weight(self):
+        # one round of the engine's stages on a one-row state
         cfg = BanditConfig(n_arms=3, plays=2, budget=50.0, c_min=0.5)
         env = constant_env(120, 3, 1.0, 0.5)
-        state = make_mb_state(cfg, 0.1)
-        state.log_weights[:] = [math.log(10.0), 0.0, 0.0]
+        state = one_row_state(3, 2, 0.1, log_weights=[math.log(10.0), 0.0, 0.0])
         before = state.log_weights.copy()
-        _, probs, _ = exp3mb_round(state, env, cfg, 50.0, episode_rng(1, 1))
-        assert probs.p[0] == pytest.approx(1.0, abs=1e-9)
-        assert state.log_weights[0] == before[0]
+        ratio = np.array([exp3._row_ratio(0.1, cfg.plays, cfg.n_arms)])
+        p, capped, arms, rewards, costs = exp3._observe(state, ratio, env, 1, [episode_rng(1, 1)])
+        exp3._update(state, p, capped, arms, rewards, costs)
+        assert p[0, 0] == pytest.approx(1.0, abs=1e-9)
+        assert capped[0, 0]
+        assert state.log_weights[0, 0] == before[0, 0]
 
 
 class TestEpisodes:
@@ -163,10 +182,15 @@ class TestEpisodes:
             assert sum(r.costs.sum() for r in credited) == pytest.approx(trace.budget_spent)
 
     def test_gain_bound_tunes_gamma(self):
+        # a run spec's g becomes gamma in harness.prepare; replication 0 of
+        # base seed 6 draws from episode_rng(6, 1)
         cfg = BanditConfig(n_arms=4, plays=2, budget=12.0, c_min=0.5)
         env = constant_env(14, 4, 0.8, 0.5)
         gamma = tune_gamma_mb(20.0, 12.0, 4, 2, 0.5)
-        via_bound = exp3mb_run_episode(cfg, env, episode_rng(6, 1), gain_bound=20.0)
+        spec = RunSpec(cfg, PolicySpec("exp3_mb", g=20.0), env, base_seed=6)
+        prep = harness.prepare(spec)
+        assert prep.gamma == gamma
+        via_bound = harness._episodes(spec, prep, record=True)[0]
         via_gamma = exp3mb_run_episode(cfg, env, episode_rng(6, 1), gamma=gamma)
         assert via_bound.gain == via_gamma.gain
         assert [r.arms for r in via_bound.rounds] == [r.arms for r in via_gamma.rounds]
@@ -174,8 +198,10 @@ class TestEpisodes:
     def test_episode_requires_gamma_or_bound(self):
         cfg = BanditConfig(n_arms=4, plays=2, budget=12.0, c_min=0.5)
         env = constant_env(14, 4, 0.8, 0.5)
-        with pytest.raises(ConfigError, match="gamma or a gain bound"):
+        with pytest.raises(ConfigError, match="gamma must lie in"):
             exp3mb_run_episode(cfg, env, episode_rng(6, 1))
+        with pytest.raises(ConfigError, match="exactly one of gamma or g"):
+            PolicySpec("exp3_mb")
 
     def test_probability_floor_every_round(self):
         cfg = BanditConfig(n_arms=4, plays=2, budget=30.0, c_min=0.5)
@@ -230,14 +256,14 @@ class TestEpochSchedule:
 class TestEpochDone:
     def test_fresh_accumulators_not_done(self):
         g0, gamma0 = epoch_threshold(0, 8, 2, 0.5)
-        assert not exp31mb_epoch_done(np.zeros(8), np.zeros(8), g0, gamma0, 8, 2, 0.5)
+        assert not epoch_done(np.zeros(8), np.zeros(8), g0, gamma0, 8, 2, 0.5)
 
     def test_hand_threshold(self):
         gain = np.array([5.0, 3.0, 1.0])
         # top-2 sum = 8 against threshold g_r - N(1-c)/(K gamma) = 7.9
         g_r = 7.9 + 3 * 0.5 / (2 * 1.0)
-        assert exp31mb_epoch_done(gain, np.zeros(3), g_r, 1.0, 3, 2, 0.5)
-        assert not exp31mb_epoch_done(gain - 0.1, np.zeros(3), g_r, 1.0, 3, 2, 0.5)
+        assert epoch_done(gain, np.zeros(3), g_r, 1.0, 3, 2, 0.5)
+        assert not epoch_done(gain - 0.1, np.zeros(3), g_r, 1.0, 3, 2, 0.5)
 
     def test_matches_subset_enumeration(self):
         rng = episode_rng(21, 1)
@@ -249,7 +275,7 @@ class TestEpochDone:
             g_r, gamma_r = epoch_threshold(int(rng.integers(0, 3)), n, k, 0.5)
             brute = max(sum((gain - loss)[list(a)]) for a in combinations(range(n), k))
             expected = brute > g_r - n * 0.5 / (k * gamma_r)
-            assert exp31mb_epoch_done(gain, loss, g_r, gamma_r, n, k, 0.5) == expected
+            assert epoch_done(gain, loss, g_r, gamma_r, n, k, 0.5) == expected
 
 
 class TestDoubling:
@@ -381,8 +407,7 @@ class TestClassicReduction:
         n, gamma, rounds = 5, 0.3, 300
         rng = episode_rng(41, 1)
         rewards = rng.random((rounds, n))
-        cfg = BanditConfig(n_arms=n, plays=1, budget=1.0, c_min=0.5)
-        state = make_mb_state(cfg, gamma)
+        state = one_row_state(n, 1, gamma)
         classic_lw = np.zeros(n)
         arm_rng = episode_rng(42, 1)
         for t in range(rounds):
@@ -393,12 +418,9 @@ class TestClassicReduction:
             r = rewards[t, arm]
             # classic update
             classic_lw[arm] += (gamma / n) * (r / p_classic[arm])
-            # same draw fed through the budgeted machinery with zero cost
-            from budgetbandits import WeightVector, compute_cap, compute_probabilities
-            cap = compute_cap(WeightVector(state.log_weights), gamma, 1, n)
+            # same draw fed through the budgeted update with zero cost
+            cap = compute_cap(WeightVector(state.log_weights[0]), gamma, 1, n)
             probs = compute_probabilities(cap, gamma, 1)
-            out = RoundOutcome((arm,), np.array([r]), np.array([0.0]))
-            rhat, chat = estimate(out, probs)
-            exp3mb_weight_update(state, rhat, np.zeros(n), cap.capped)
             assert cap.capped.size == 0  # K=1 never caps
-        assert np.max(np.abs(state.log_weights - classic_lw)) <= 1e-10
+            update(state, probs.p, (arm,), [r], [0.0])
+        assert np.max(np.abs(state.log_weights[0] - classic_lw)) <= 1e-10

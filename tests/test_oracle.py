@@ -136,6 +136,16 @@ class TestSimulateFixedSubset:
         with pytest.raises(IndexError):
             simulate_fixed_subset(env, (0, 2), 1.5)
 
+    def test_repeated_arm(self):
+        # a repeated arm, or a negative alias of one, is not a subset: counted
+        # twice, (1, 1) would gain 7.2 and (3, -1) 2.4
+        env = column_env([0.1, 0.9, 0.2, 0.3], [0.5] * 4, t_max=9)
+        with pytest.raises(ValueError, match="distinct"):
+            simulate_fixed_subset(env, [1, 1], 4.0)
+        with pytest.raises(IndexError):
+            simulate_fixed_subset(env, [3, -1], 4.0)
+        assert simulate_fixed_subset(env, [1, 3], 4.0) == naive_play(env, (1, 3), 4.0)[0]
+
     def test_no_arms(self):
         env = column_env([1.0, 1.0], [1.0, 1.0], t_max=3)
         with pytest.raises(ConfigError):

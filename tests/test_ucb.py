@@ -14,7 +14,6 @@ from budgetbandits import (
     ucb_select,
     ucb_update,
 )
-from budgetbandits.core import RoundOutcome
 from budgetbandits.ucb import UcbState
 
 
@@ -94,8 +93,7 @@ class TestSelect:
 class TestUpdate:
     def test_incremental_mean(self):
         state = make_state([0.5, 0.4], [0.6, 0.6], [1, 1], t=2, plays=1)
-        out = RoundOutcome((0,), np.array([1.0]), np.array([0.5]))
-        ucb_update(state, out, 3)
+        ucb_update(state, (0,), [1.0], [0.5], 3)
         assert state.mean_reward[0] == pytest.approx(0.75)
         assert state.mean_cost[0] == pytest.approx(0.55)
         assert state.pull_counts[0] == 2
@@ -106,16 +104,14 @@ class TestUpdate:
 
     def test_optimal_round_does_not_count(self):
         state = make_state([0.5, 0.4], [0.6, 0.6], [1, 1], t=2, plays=1, oracle=(0,))
-        out = RoundOutcome((0,), np.array([1.0]), np.array([0.5]))
-        ucb_update(state, out, 3, episode_rng(0, 1))
+        ucb_update(state, (0,), [1.0], [0.5], 3, episode_rng(0, 1))
         assert sum(state.suboptimal_counters) == 0
 
     def test_suboptimal_round_increments_smallest(self):
         state = make_state([0.5, 0.4, 0.3], [0.6, 0.6, 0.6], [1, 1, 1], t=2,
                            plays=2, oracle=(0, 1))
         state.suboptimal_counters[:] = [0, 5, 3]
-        out = RoundOutcome((1, 2), np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-        ucb_update(state, out, 3, episode_rng(0, 1))
+        ucb_update(state, (1, 2), [1.0, 0.0], [0.5, 0.5], 3, episode_rng(0, 1))
         assert state.suboptimal_counters == [0, 5, 4]
 
 
@@ -193,7 +189,8 @@ class TestEpisode:
             remaining -= out.cost
             if set(out.arms) != {0}:
                 suboptimal += 1
-            ucb_update(state, out, state.t + 1, rng)
+            ucb_update(state, out.arms, out.rewards.tolist(), out.costs.tolist(),
+                       state.t + 1, rng)
         assert sum(state.suboptimal_counters) == suboptimal
 
     def test_no_leakage_into_unplayed_arms(self):
@@ -205,6 +202,7 @@ class TestEpisode:
         frozen_mean = float(state.mean_reward[1])
         for _ in range(10):
             out = sample_round(env, [0], rng)
-            ucb_update(state, out, state.t + 1, rng)
+            ucb_update(state, out.arms, out.rewards.tolist(), out.costs.tolist(),
+                       state.t + 1, rng)
         assert state.mean_reward[1] == frozen_mean
         assert state.pull_counts[1] == 1

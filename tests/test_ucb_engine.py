@@ -20,7 +20,7 @@ from budgetbandits import (
     ucb_select,
     ucb_update,
 )
-from budgetbandits.core import RoundOutcome, draw_round
+from budgetbandits.core import draw_round
 from budgetbandits.ucb import UcbState
 from ucb_reference import reference_draw, reference_episode, reference_fold
 
@@ -111,7 +111,8 @@ def test_step_calls_equal_episode(family):
         if outcome.cost > remaining:
             break
         remaining -= outcome.cost
-        ucb_update(state, outcome, state.t + 1, rng)
+        ucb_update(state, outcome.arms, outcome.rewards.tolist(), outcome.costs.tolist(),
+                   state.t + 1, rng)
     assert bits(costs) == bits(want.round_costs)
     assert bits(rewards) == bits(want.round_rewards)
     assert arms == [r.arms for r in want.rounds]
@@ -130,7 +131,7 @@ def test_update_equals_reference_fold(n, k):
     for t in range(3, 300):
         arms = np.sort(rng.choice(n, k, replace=False))
         rewards, costs = rng.random(k), C_MIN + (1.0 - C_MIN) * rng.random(k)
-        ucb_update(state, RoundOutcome(tuple(arms.tolist()), rewards, costs), t)
+        ucb_update(state, arms.tolist(), rewards.tolist(), costs.tolist(), t)
         exploration = reference_fold(pulls, mean_r, mean_c, arms, rewards, costs, t, k, C_MIN)
         assert state.pull_counts == pulls.tolist()
         assert bits(state.mean_reward) == bits(mean_r)
