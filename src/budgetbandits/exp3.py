@@ -15,19 +15,30 @@ arms by dependent rounding, observe, estimate, reweight):
 
 One lockstep round engine, play_lockstep, plays all four. Its episodes are
 the rows of one pass; all start at round 1, so live rows share the round
-index, and a row drops out when its episode ends. On (live rows, N) arrays
-run the max-shift, exponentials and cap test, the probabilities and their
-simplex check, and the high-probability rules' confidence fold and bonus; a
-row that caps is mapped by sampling.compute_cap for that row alone. Per row,
-on plain floats, run dependent rounding, the observation, the termination
-rule (EpisodeTrace.play), epoch restarts, and the estimates with their folds
-into the accumulators and the played arms' weights. Each row draws from its
-own generator just what its episode played alone draws, in the same order
-(one uniform per rounding step, then a stochastic round's rewards and
-costs), and every stage repeats per row the IEEE operations of the 1-d
-computation, so each row equals its lone episode bit for bit. There is no
-other per-round path: the episode functions are the engine's one-row case,
-and estimate is the stage _update runs for each row.
+index, and a row drops out when its episode ends. Each row is an Exp3State
+of plain floats: Python lists hold its log weights and accumulators, and
+every stage of a round runs per row on them, in the IEEE order of the 1-d
+numpy expressions of the scalar loop: the probabilities, dependent rounding
+(after the range and sum-to-K check, which only decides whether to raise),
+the observation, the termination rule (EpisodeTrace.play), the estimates,
+the folds into the accumulators and weights, and the high-probability
+rules' bonus and confidence widths. Three numpy stages are left, where
+numpy decides the bits: one np.exp over all
+rows' max-shifted log weights laid end to end (its SIMD exp), one row sum
+of that (rows, N) array (pairwise from eight terms), and, for the doubling
+trick's epoch test, _best_subset_totals on the stacked accumulators (the
+order np.partition leaves the top K in is the order they are summed in). A
+row that caps is mapped by sampling.compute_cap for that row alone.
+
+Each row draws from its own generator just what its episode played alone
+draws, in the same order: one uniform per rounding step, then a stochastic
+round's rewards and costs. On an adversarial environment a row's generator
+feeds its rounding alone, so the row reads its uniforms through a
+sampling.BlockUniforms reader, which draws them a block at a time and, when
+the pass ends, rewinds the generator to exactly the uniforms the row used;
+every generator ends where its lone episode leaves it. So each row equals
+its lone episode bit for bit. There is no other per-round path: the
+episode functions are the engine's one-row case.
 
 Weights are stored and updated in the log domain; see the sampling module.
 """
@@ -38,7 +49,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 import numpy as np
 
@@ -55,9 +66,10 @@ from .core import (
     validate_config,
 )
 from .sampling import (
+    BlockUniforms,
     WeightVector,
+    _check_simplex,
     _pairwise_steps,
-    _rounding_start,
     cap_ratio,
     compute_cap,
     compute_probabilities,
@@ -75,86 +87,81 @@ class Variant(str, Enum):
     PMB = "exp3_pmb"      # high-probability, budgeted
 
 
-@dataclass
 class Exp3State:
-    """The engine's mutable policy state, one row per live episode.
+    """One episode's policy state, on plain floats.
 
     log_weights, gain_acc / loss_acc (the accumulated importance-weighted
     reward and cost estimates Ghat_i / Lhat_i) and sigma_acc (the confidence
-    widths of the high-probability variants) are (rows, N) arrays; gamma is
-    a (rows, 1) column. ``conf_scale`` is the variant's per-round confidence
-    factor (1/sqrt(NT) or sqrt(K c_min)/sqrt(NB)).
+    widths of the high-probability variants) are lists of N floats.
+    ``conf_scale`` is the variant's per-round confidence factor
+    (1/sqrt(NT) or sqrt(K c_min)/sqrt(NB)). set_gamma derives from gamma the
+    constants a round reads: the cap-test ratio, the weight rate (the
+    multiplier of the estimate inside the weight exponent) and the two
+    factors of the probability map.
     """
 
-    log_weights: np.ndarray
-    gain_acc: np.ndarray
-    loss_acc: np.ndarray
-    sigma_acc: np.ndarray
-    gamma: np.ndarray
-    variant: Variant
-    n_arms: int
-    plays: int
-    alpha: Optional[float] = None
-    conf_scale: Optional[float] = None
+    __slots__ = ("variant", "n_arms", "plays", "alpha", "conf_scale", "log_weights",
+                 "gain_acc", "loss_acc", "sigma_acc", "gamma", "ratio", "rate", "keep",
+                 "spread")
 
-    @property
-    def weight_rate(self) -> np.ndarray:
-        """Multiplier of the estimate inside the weight exponent."""
+    def __init__(self, variant: Variant, n_arms: int, plays: int, gamma: float,
+                 log_w: float = 0.0, sigma: float = 0.0, alpha: Optional[float] = None,
+                 conf_scale: Optional[float] = None) -> None:
+        self.variant, self.n_arms, self.plays = variant, n_arms, plays
+        self.alpha, self.conf_scale = alpha, conf_scale
+        self.log_weights = [log_w] * n_arms
+        self.gain_acc = [0.0] * n_arms
+        self.loss_acc = [0.0] * n_arms
+        self.sigma_acc = [sigma] * n_arms
+        self.set_gamma(gamma)
+
+    def set_gamma(self, gamma: float) -> None:
+        n, k = self.n_arms, self.plays
+        self.gamma = gamma
+        # cap_ratio, but inf where capping never applies (gamma = 1) and 0
+        # where every arm is capped (K = N)
+        if gamma == 1.0:
+            self.ratio = math.inf
+        else:
+            self.ratio = 0.0 if k == n else cap_ratio(gamma, k, n)
         if self.variant in (Variant.MB, Variant.ONE_MB):
-            return self.plays * self.gamma / self.n_arms
-        return self.gamma * self.plays / (3.0 * self.n_arms)
+            self.rate = k * gamma / n
+        else:
+            self.rate = gamma * k / (3.0 * n)
+        self.keep, self.spread = 1.0 - gamma, gamma / n
 
 
-def _row_ratio(gamma: float, plays: int, n_arms: int) -> float:
-    """A row's cap-test ratio (sampling.cap_ratio): inf where capping never
-    applies (gamma = 1), 0 where every arm is capped (K = N)."""
-    if gamma == 1.0:
-        return math.inf
-    return 0.0 if plays == n_arms else cap_ratio(gamma, plays, n_arms)
+def _probabilities(states: Sequence[Exp3State]) -> list[tuple[list[float], Container[int]]]:
+    """Each state's inclusion probabilities and capped arms (empty if none).
 
-
-def _probabilities(log_weights: np.ndarray, gamma: np.ndarray, ratio: np.ndarray,
-                   plays: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Each row's inclusion probabilities, and the capped arms as a (rows, N)
-    mask or None; ``gamma`` is a column, ``ratio`` a _row_ratio per row.
-
-    A row whose largest shifted weight, exp(0) = 1, stays below ratio sum(w)
-    gets p = K((1 - gamma) w / sum(w) + gamma / N) as compute_cap and
-    compute_probabilities compute it; a row that caps is mapped by them.
+    All rows' max-shifted log weights are exponentiated as one flat array
+    and summed as its (rows, N) view, which gives each row the bits of the
+    1-d exp and sum. A row whose largest shifted weight, exp(0) = 1, stays
+    below ratio sum(w) gets p = K((1 - gamma) w / sum(w) + gamma / N), each
+    entry at most 1, in the IEEE order of compute_probabilities; a row that
+    caps is mapped by compute_cap and compute_probabilities.
     """
-    rows, n = log_weights.shape
-    w = np.exp(log_weights - log_weights.max(axis=1, keepdims=True))
-    total = w.sum(axis=1, keepdims=True)
-    p = plays * ((1.0 - gamma) * w / total + gamma / n)
-    np.minimum(p, 1.0, out=p)
-    capped = None
-    for r in np.flatnonzero(ratio * total[:, 0] <= 1.0):
-        g = float(gamma[r, 0])
-        cap = compute_cap(WeightVector(log_weights[r]), g, plays, n)
-        p[r] = compute_probabilities(cap, g, plays).p
-        if capped is None:
-            capped = np.zeros((rows, n), dtype=bool)
-        capped[r, cap.capped] = True
-    return p, capped
-
-
-def _observe(state: Exp3State, ratio: np.ndarray, env: StochasticEnv | AdversarialEnv,
-             t: int, rngs: Sequence[np.random.Generator]) -> tuple:
-    """Round t of every row: (p, capped, arms, rewards, costs), the last
-    three holding each row's K arms and observations. Row r rounds with
-    rngs[r] and then, on a stochastic environment, draws from it its rewards
-    and costs, as its episode played alone does."""
-    p, capped = _probabilities(state.log_weights, state.gamma, ratio, state.plays)
-    arms = [_pairwise_steps(row, state.plays, rng)
-            for row, rng in zip(_rounding_start(p, state.plays).tolist(), rngs)]
-    if isinstance(env, AdversarialEnv):
-        if t > env.t_max:
-            raise SequenceExhausted(f"sequence exhausted: round {t} exceeds T_max={env.t_max}")
-        rewards, costs = env.rewards[t - 1].tolist(), env.costs[t - 1].tolist()
-        return (p, capped, arms, [[rewards[j] for j in a] for a in arms],
-                [[costs[j] for j in a] for a in arms])
-    drawn = [draw_round(env, a, rng) for a, rng in zip(arms, rngs)]
-    return p, capped, arms, [x for x, _ in drawn], [c for _, c in drawn]
+    shifted = []  # every row's max-shifted log weights, end to end
+    for s in states:
+        top = max(s.log_weights)
+        shifted += [x - top for x in s.log_weights]
+    n = states[0].n_arms
+    w = np.exp(shifted)
+    totals = np.add.reduce(w.reshape(-1, n), axis=1).tolist()
+    w = w.tolist()
+    out = []
+    for r, (s, total) in enumerate(zip(states, totals)):
+        if s.ratio * total > 1.0:
+            k, keep, spread = s.plays, s.keep, s.spread
+            # np.minimum's clip, and like it passes a NaN through
+            out.append(([1.0 if (q := k * (keep * x / total + spread)) > 1.0 else q
+                         for x in w[r * n:(r + 1) * n]], ()))
+        else:
+            cap = compute_cap(WeightVector(np.array(s.log_weights)), s.gamma, s.plays,
+                              s.n_arms)
+            out.append((compute_probabilities(cap, s.gamma, s.plays).p.tolist(),
+                        frozenset(cap.capped.tolist())))
+    return out
 
 
 def estimate(p: Sequence[float], arms: Sequence[int], rewards: Sequence[float],
@@ -171,45 +178,47 @@ def estimate(p: Sequence[float], arms: Sequence[int], rewards: Sequence[float],
     return [x / q for x, q in zip(rewards, pa)], [c / q for c, q in zip(costs, pa)]
 
 
-def _update(state: Exp3State, p: np.ndarray, capped: Optional[np.ndarray], arms: Sequence,
-            rewards: Sequence, costs: Sequence) -> None:
-    """Estimate and fold one round into each row r, which played arms[r].
+def _update(state: Exp3State, p: Sequence[float], capped: Container[int],
+            arms: Sequence[int], rewards: Sequence[float], costs: Sequence[float]) -> None:
+    """Fold one round of ``state``'s episode, which played ``arms``, into it.
 
-    Estimates are +0.0 off the played arms, and no accumulator or log weight
-    ever holds -0.0, so adding them moves only the played arms. Log weights
-    move by rate * delta outside the capped arms: delta = rhat - chat for the
-    budgeted rule (the doubling trick's moves capped arms too), and
+    The played arms' estimates x / p_i (estimate's arithmetic) move the
+    accumulators there. Log weights move by rate * delta outside the capped
+    arms: delta = rhat - chat at the played arms for the budgeted rule (the
+    doubling trick's moves capped arms too), and at every arm
     (rhat - chat) + bonus, or rhat + bonus without costs, for the
-    high-probability rules, whose bonus alpha conf_scale / p_i reaches every
-    arm and whose sigma_acc gains conf_scale / p_i.
+    high-probability rules, whose bonus alpha conf_scale / p_i is the only
+    term off the played arms and whose sigma_acc gains conf_scale / p_i at
+    every arm. Each sum is the one the 1-d arrays of the scalar loop form,
+    minus the terms that add +0.0 (no accumulator or log weight ever holds
+    -0.0). Probabilities are at least K gamma / N > 0.
     """
-    variant = state.variant
-    rates = np.ravel(state.weight_rate).tolist()
-    high_prob = variant in (Variant.PM, Variant.PMB)
-    if high_prob:
-        state.sigma_acc += state.conf_scale / p
-        bonus = state.alpha * state.conf_scale / p
-        step = state.weight_rate * bonus  # rate (0 + bonus), off the played arms
-        bonus = bonus.tolist()
-    skip = capped if variant is Variant.MB else None
-    p_rows = p.tolist()
-    for r, a in enumerate(arms):
-        rhat, chat = estimate(p_rows[r], a, rewards[r], costs[r])
-        gain, loss, lw = state.gain_acc[r], state.loss_acc[r], state.log_weights[r]
-        for j, u, v in zip(a, rhat, chat):
+    variant, rate = state.variant, state.rate
+    gain, loss, lw = state.gain_acc, state.loss_acc, state.log_weights
+    if variant is Variant.MB or variant is Variant.ONE_MB:
+        moves_capped = variant is Variant.ONE_MB
+        for j, x, c in zip(arms, rewards, costs):
+            q = p[j]
+            u, v = x / q, c / q
             gain[j] += u
-            if variant is Variant.PM:
-                step[r, j] = rates[r] * (u + bonus[r][j])
-                continue
             loss[j] += v
-            if high_prob:
-                step[r, j] = rates[r] * ((u - v) + bonus[r][j])
-            elif skip is None or not skip[r, j]:
-                lw[j] += rates[r] * (u - v)
-    if high_prob:
-        if capped is not None:
-            step[capped] = 0.0
-        state.log_weights += step
+            if moves_capped or j not in capped:
+                lw[j] += rate * (u - v)
+        return
+    scale, bonus_scale = state.conf_scale, state.alpha * state.conf_scale
+    state.sigma_acc = [x + scale / q for x, q in zip(state.sigma_acc, p)]
+    moved = state.log_weights = [x + rate * (bonus_scale / q) for x, q in zip(lw, p)]
+    for j, x, c in zip(arms, rewards, costs):
+        q = p[j]
+        u = x / q
+        gain[j] += u
+        if variant is Variant.PMB:
+            v = c / q
+            loss[j] += v
+            u = u - v
+        moved[j] = lw[j] + rate * (u + bonus_scale / q)
+    for j in capped:
+        moved[j] = lw[j]
 
 
 def tune_gamma_mb(gain_bound: float, budget: float, n_arms: int, plays: int,
@@ -260,8 +269,9 @@ def play_lockstep(variant: Variant, cfg: BanditConfig, env: StochasticEnv | Adve
 
     The budgeted variant plays with the given ``gamma``; the others tune
     their parameters from ``cfg``. Trace i is the episode rngs[i] plays
-    alone, bit for bit (see the module docstring). With ``record`` every
-    round is kept as a RoundRecord.
+    alone, bit for bit, and rngs[i] ends where that episode leaves it (see
+    the module docstring). With ``record`` every round is kept as a
+    RoundRecord.
     """
     validate_config(cfg)
     n, k, rows = cfg.n_arms, cfg.plays, len(rngs)
@@ -275,10 +285,7 @@ def play_lockstep(variant: Variant, cfg: BanditConfig, env: StochasticEnv | Adve
         params = (exp3pm_parameters if variant is Variant.PM else exp3pmb_parameters)(cfg)
         gamma, log_w, sigma = params.gamma, params.log_w_init, params.sigma_init
         alpha, conf_scale = params.alpha, params.conf_scale
-    state = Exp3State(np.full((rows, n), log_w), np.zeros((rows, n)), np.zeros((rows, n)),
-                      np.full((rows, n), sigma), np.full((rows, 1), gamma), variant, n, k,
-                      alpha, conf_scale)
-    ratio = np.full(rows, _row_ratio(gamma, k, n))
+    states = [Exp3State(variant, n, k, gamma, log_w, sigma, alpha, conf_scale) for _ in rngs]
     traces = [EpisodeTrace(0.0, 0, 0.0) for _ in rngs]
     # per episode: the remaining budget (0 for the fixed horizon, which pays
     # nothing) and the doubling trick's epoch, gain target and epoch starts
@@ -287,56 +294,69 @@ def play_lockstep(variant: Variant, cfg: BanditConfig, env: StochasticEnv | Adve
     epochs, starts = [0] * rows, [[(0, 1)] for _ in rngs]
     targets = [_epoch_target(*epoch_threshold(0, n, k, cfg.c_min), n, k, cfg.c_min)
                ] * rows if doubling else []
+    adversarial = isinstance(env, AdversarialEnv)
+    # an adversarial row's generator feeds its rounding alone, so its
+    # uniforms are read in blocks; a stochastic row's also feeds draw_round
+    readers = [BlockUniforms(rng) for rng in rngs] if adversarial else []
+    draws = [reader.draw for reader in readers] if adversarial else [rng.random for rng in rngs]
 
-    def extras(r: int, i: int) -> dict:
+    def extras(i: int) -> dict:
+        s = states[i]
         if doubling:
             return {"epoch_starts": starts[i], "epochs_started": epochs[i] + 1,
-                    "epochs_completed": epochs[i], "gain_acc": state.gain_acc[r].copy(),
-                    "loss_acc": state.loss_acc[r].copy()}
-        return {} if variant is Variant.MB else {"sigma_acc": state.sigma_acc[r].copy()}
+                    "epochs_completed": epochs[i], "gain_acc": np.array(s.gain_acc),
+                    "loss_acc": np.array(s.loss_acc)}
+        return {} if variant is Variant.MB else {"sigma_acc": np.array(s.sigma_acc)}
 
-    live = list(range(rows))  # the episode of each state row
+    live = list(range(rows))  # the episodes still playing
     t = 1
-    while live:
-        if doubling:
-            totals = _best_subset_totals(state.gain_acc, state.loss_acc, k).tolist()
-            for r, (i, total) in enumerate(zip(live, totals)):
-                while total > targets[i]:  # a new epoch: weights reset, gamma halved
-                    epochs[i] += 1
-                    g_r, gamma_r = epoch_threshold(epochs[i], n, k, cfg.c_min)
-                    targets[i] = _epoch_target(g_r, gamma_r, n, k, cfg.c_min)
-                    starts[i].append((epochs[i], t))
-                    state.gamma[r], ratio[r] = gamma_r, _row_ratio(gamma_r, k, n)
-                    state.log_weights[r] = 0.0
-        p, capped, arms, rewards, costs = _observe(state, ratio, env, t, [rngs[i] for i in live])
-        kept = []
-        for r, i in enumerate(live):
-            trace = traces[i]
-            if variant is Variant.PM:
-                trace.gain += sum_in_order(rewards[r])
-            else:
-                left[i] = trace.play(t, sum_in_order(costs[r]), sum_in_order(rewards[r]), left[i])
-            if record:
-                trace.rounds.append(RoundRecord(t, tuple(arms[r]), np.array(rewards[r]),
-                                                np.array(costs[r]), p[r].copy(), left[i]))
-            kept.append(not trace.stopping_time)
-            if trace.stopping_time:  # the overdrawing round leaves the state as it was
-                trace.extras = extras(r, i)
-        if not all(kept):
-            for name in ("log_weights", "gamma", "gain_acc", "loss_acc", "sigma_acc"):
-                setattr(state, name, getattr(state, name)[kept])
-            ratio, p = ratio[kept], p[kept]
-            capped = None if capped is None else capped[kept]
-            live, arms, rewards, costs = ([x for x, on in zip(seq, kept) if on]
-                                          for seq in (live, arms, rewards, costs))
-            if not live:
+    try:
+        while live:
+            if doubling:
+                totals = _best_subset_totals(np.array([states[i].gain_acc for i in live]),
+                                             np.array([states[i].loss_acc for i in live]), k)
+                for i, total in zip(live, totals.tolist()):
+                    while total > targets[i]:  # a new epoch: weights reset, gamma halved
+                        epochs[i] += 1
+                        g_r, gamma_r = epoch_threshold(epochs[i], n, k, cfg.c_min)
+                        targets[i] = _epoch_target(g_r, gamma_r, n, k, cfg.c_min)
+                        starts[i].append((epochs[i], t))
+                        states[i].set_gamma(gamma_r)
+                        states[i].log_weights = [0.0] * n
+            if adversarial:
+                if t > env.t_max:
+                    raise SequenceExhausted(
+                        f"sequence exhausted: round {t} exceeds T_max={env.t_max}")
+                round_rewards, round_costs = env.rewards[t - 1].tolist(), env.costs[t - 1].tolist()
+            for i, (p, capped) in zip(live, _probabilities([states[i] for i in live])):
+                _check_simplex(p, k)
+                arms = _pairwise_steps(p, k, draws[i])
+                if adversarial:
+                    rewards = [round_rewards[j] for j in arms]
+                    costs = [round_costs[j] for j in arms]
+                else:
+                    rewards, costs = draw_round(env, arms, rngs[i])
+                trace = traces[i]
+                if variant is Variant.PM:
+                    trace.gain += sum_in_order(rewards)
+                else:
+                    left[i] = trace.play(t, sum_in_order(costs), sum_in_order(rewards), left[i])
+                if record:
+                    trace.rounds.append(RoundRecord(t, tuple(arms), np.array(rewards),
+                                                    np.array(costs), np.array(p), left[i]))
+                if trace.stopping_time:  # the overdrawing round leaves the state as it was
+                    trace.extras = extras(i)
+                else:
+                    _update(states[i], p, capped, arms, rewards, costs)
+            live = [i for i in live if not traces[i].stopping_time]
+            if variant is Variant.PM and t == cfg.horizon:
+                for i in live:
+                    traces[i].stopping_time, traces[i].extras = t + 1, extras(i)
                 break
-        _update(state, p, capped, arms, rewards, costs)
-        if variant is Variant.PM and t == cfg.horizon:
-            for r, i in enumerate(live):
-                traces[i].stopping_time, traces[i].extras = t + 1, extras(r, i)
-            break
-        t += 1
+            t += 1
+    finally:
+        for reader in readers:
+            reader.rewind()
     return traces
 
 

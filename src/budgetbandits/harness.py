@@ -654,9 +654,28 @@ def _seed(value) -> int:
     return seed
 
 
-def _good_set(value) -> Optional[tuple[int, ...]]:
-    """A lower-bound instance's good arms, each read by _integer; None if unset."""
-    return tuple(_integer(a, "good_set entry") for a in value) if value else None
+def _good_set(value, n_arms: int, plays: int) -> Optional[tuple[int, ...]]:
+    """A lower-bound instance's good arms: K distinct arms in [0, N), each
+    read by _integer; None if unset."""
+    if not value:
+        return None
+    good = tuple(_integer(a, "good_set entry") for a in value)
+    if len(good) != plays or len(set(good)) != plays:
+        raise ConfigError(f"good_set must hold K={plays} distinct arms, got {list(good)}")
+    if not all(0 <= a < n_arms for a in good):
+        raise ConfigError(f"good_set arms must lie in [0, {n_arms}), got {list(good)}")
+    return good
+
+
+def _eps(value) -> Optional[float]:
+    """A lower-bound instance's bias: a number in [0, 1/4] (0 makes every arm
+    alike); None if unset, which tunes it."""
+    if value is None:
+        return None
+    eps = float(value)
+    if not 0.0 <= eps <= 0.25:  # written so that NaN fails
+        raise ConfigError(f"eps must lie in [0, 1/4], got {eps!r}")
+    return eps
 
 
 def lower_bound_env_from_dict(doc: dict,
@@ -665,16 +684,18 @@ def lower_bound_env_from_dict(doc: dict,
     given ``seed`` replaces base_seed. Drawn as materialize_environment draws it."""
     try:
         seed = _seed(doc.get("base_seed", 0) if seed is None else seed)
-        n = _integer(doc["n_arms"], "n_arms")
-        k = _integer(doc["plays"], "plays")
-        budget = float(doc["budget"])
-        c_min = float(doc["c_min"])
-        good = _good_set(doc.get("good_set"))
+        cfg = validate_config(BanditConfig(
+            n_arms=_integer(doc["n_arms"], "n_arms"), plays=_integer(doc["plays"], "plays"),
+            budget=float(doc["budget"]), c_min=float(doc["c_min"])))
+        good = _good_set(doc.get("good_set"), cfg.n_arms, cfg.plays)
+        eps = _eps(doc.get("eps"))
     except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(f"bad lbenv config: {exc}") from exc
-    eps = float(doc["eps"]) if doc.get("eps") is not None else bounds_mod.tuned_eps(
-        budget, n, k, c_min)
-    env = bounds_mod.make_lower_bound_env(n, k, budget, c_min, eps,
+    if eps is None:
+        eps = bounds_mod.tuned_eps(cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min)
+    env = bounds_mod.make_lower_bound_env(cfg.n_arms, cfg.plays, cfg.budget, cfg.c_min, eps,
                                           episode_rng(seed, ENV_STREAM), good_set=good)
     return env, eps
 
@@ -697,16 +718,17 @@ def run_spec_from_dict(doc: dict) -> RunSpec:
             gamma=float(pol_doc["gamma"]) if pol_doc.get("gamma") is not None else None,
             g=pol_doc.get("g"),
         )
+        validate_config(cfg)
         env_doc = doc["environment"]
         if env_doc.get("type") == "lower_bound":
             environment: Environment = LowerBoundSpec(
-                eps=float(env_doc["eps"]) if env_doc.get("eps") is not None else None,
-                good_set=_good_set(env_doc.get("good_set")),
+                eps=_eps(env_doc.get("eps")),
+                good_set=_good_set(env_doc.get("good_set"), cfg.n_arms, cfg.plays),
             )
         else:
             environment = env_from_dict(env_doc)
         return RunSpec(
-            config=validate_config(cfg),
+            config=cfg,
             policy=policy,
             environment=environment,
             replications=_integer(doc.get("replications", 1), "replications"),

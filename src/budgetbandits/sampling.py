@@ -14,21 +14,28 @@ maximum log weight first.
 Rounding comes in two kernels with one step rule. _pairwise_steps draws one
 subset on plain floats with one uniform per step; dependent_rounding calls
 it, and so does the lockstep engine (exp3.play_lockstep) for each of its
-rows, with the row's own generator, after checking, clipping and snapping
-all rows' vectors at once (_rounding_start). _pairwise_round steps many
+rows, after _check_simplex has checked the row on plain floats. A uniform
+comes from a ``draw`` callable: the generator's own rng.random, or, for an
+engine row whose generator feeds nothing but rounding, a BlockUniforms
+reader, which draws rng.random(BLOCK) at a time and at the end rewinds the
+generator to exactly the uniforms it handed out. _pairwise_round steps many
 draws as numpy arrays, one uniform per unfinished row per step, for
 dependent_rounding_batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from operator import length_hint
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 SIMPLEX_TOL = 1e-6
 FREEZE_TOL = 1e-9
+BLOCK = 256  # uniforms per generator call of a BlockUniforms reader
 
 
 @dataclass(frozen=True)
@@ -157,44 +164,89 @@ def dependent_rounding(plays: int, probabilities: ProbabilityVector | np.ndarray
     p = probabilities.p if isinstance(probabilities, ProbabilityVector) else np.asarray(probabilities)
     if p.ndim != 1:
         raise ValueError("probability vector must be 1-d")
-    values = _rounding_start(p[None], plays)[0].tolist()
-    return np.asarray(_pairwise_steps(values, plays, rng), dtype=np.intp)
+    values = p.tolist()
+    _check_simplex(values, plays)
+    return np.asarray(_pairwise_steps(values, plays, rng.random), dtype=np.intp)
 
 
 def dependent_rounding_batch(plays: int, probabilities: ProbabilityVector | np.ndarray,
                              draws: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``draws`` independent dependent-rounding draws, one per row."""
     p = probabilities.p if isinstance(probabilities, ProbabilityVector) else np.asarray(probabilities)
+    if p.ndim != 1:
+        raise ValueError("probability vector must be 1-d")
+    _check_simplex(p.tolist(), plays)
     return _pairwise_round(np.broadcast_to(p, (draws, p.shape[0])), plays, rng)
 
 
-def _rounding_start(p: np.ndarray, plays: int) -> np.ndarray:
-    """Check a (rows, N) stack of probability vectors (each in [0, 1] and
-    summing to K) and return its working copy, clipped to [0, 1] with the
-    entries within FREEZE_TOL of 0 or 1 snapped."""
-    # written so that NaN fails the checks
-    if not (p.min() >= -SIMPLEX_TOL and p.max() <= 1.0 + SIMPLEX_TOL):
+def _check_simplex(p: list[float], plays: int) -> None:
+    """Raise ValueError unless every entry of ``p`` lies in [0, 1] and the
+    entries sum to K, both up to SIMPLEX_TOL.
+
+    A NaN, which min and max may pass over, makes the exact sum NaN and
+    fails the sum check.
+    """
+    if not (min(p) >= -SIMPLEX_TOL and max(p) <= 1.0 + SIMPLEX_TOL):
         raise ValueError("probabilities must lie in [0, 1]")
-    if not np.abs(p.sum(axis=1) - plays).max() <= SIMPLEX_TOL:
+    if not abs(math.fsum(p) - plays) <= SIMPLEX_TOL:
         raise ValueError(f"probabilities must sum to K={plays} (tolerance {SIMPLEX_TOL})")
-    work = np.minimum(np.maximum(p, 0.0, dtype=np.float64), 1.0)
-    _snap(work)
-    return work
 
 
-def _pairwise_steps(values: list[float], plays: int, rng: np.random.Generator) -> list[int]:
-    """One draw of the pairwise scheme on a row of plain floats, which it overwrites.
+class BlockUniforms:
+    """A generator's uniforms read BLOCK at a time, for a caller that draws
+    nothing else from it while it reads.
+
+    ``draw()`` returns the next uniform; value for value these are the
+    uniforms of scalar rng.random() calls. Each block keeps the generator's
+    state from before its rng.random(BLOCK) call, and rewind() restores it
+    and redraws just the block's uniforms handed out, which leaves the
+    generator where the scalar calls would have. Rewind once, when done.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._state: Optional[dict] = None  # before the current block
+        self._unread: Iterator[float] = iter(())  # the current block's rest
+        self.draw: Callable[[], float] = chain.from_iterable(self._blocks()).__next__
+
+    def _blocks(self) -> Iterator[Iterator[float]]:
+        while True:
+            self._state = self._rng.bit_generator.state
+            self._unread = iter(self._rng.random(BLOCK).tolist())
+            yield self._unread
+
+    def rewind(self) -> None:
+        if self._state is not None:
+            self._rng.bit_generator.state = self._state
+            self._rng.random(BLOCK - length_hint(self._unread))
+            self._state = None
+
+
+def _pairwise_steps(p: Sequence[float], plays: int, draw: Callable[[], float]) -> list[int]:
+    """One draw of the pairwise scheme on a checked row of plain floats: the
+    K arms chosen, in ascending order.
 
     Unrolled over floats because a draw per row and round is the policies'
     hot path; step for step it is the batched kernel (same pairing order,
-    one uniform per step, same freeze tolerance). Only the pair's two
-    coordinates move in a step, so only they can leave the fractional list.
+    one uniform per step, from ``draw``, same freeze tolerance). An entry
+    within FREEZE_TOL of 0 or 1 is frozen from the start, as the batched
+    kernel's snap makes it. A step freezes at least one of its pair (the
+    moved coordinate lands on 0 exactly or within rounding of 1), so one
+    left-to-right scan suffices: it carries the pair's fractional survivor,
+    if any, into a step with the next fractional entry, which is the pair
+    of the first two fractional coordinates that the batched kernel takes.
     """
-    draw = rng.random
-    frac = [i for i, x in enumerate(values) if 0.0 < x < 1.0]
-    while len(frac) >= 2:
-        i, j = frac[0], frac[1]
-        pi, pj = values[i], values[j]
+    chosen = []
+    carry, pi = -1, 0.0  # the carried coordinate and its value
+    for j, pj in enumerate(p):
+        if pj <= FREEZE_TOL:
+            continue
+        if pj >= 1.0 - FREEZE_TOL:
+            chosen.append(j)
+            continue
+        if carry < 0:
+            carry, pi = j, pj
+            continue
         alpha, beta = 1.0 - pi, 1.0 - pj  # min(1 - pi, pj) and min(pi, 1 - pj)
         if pj < alpha:
             alpha = pj
@@ -212,19 +264,25 @@ def _pairwise_steps(values: list[float], plays: int, rng: np.random.Generator) -
             pj = 0.0
         elif pj >= 1.0 - FREEZE_TOL:
             pj = 1.0
-        values[i], values[j] = pi, pj
-        if not 0.0 < pj < 1.0:
-            del frac[1]
+        if pj == 1.0:
+            chosen.append(j)
         if not 0.0 < pi < 1.0:
-            del frac[0]
-    chosen = [i for i, x in enumerate(values) if x > 0.5]
+            if pi == 1.0:
+                chosen.append(carry)
+            carry, pi = (j, pj) if 0.0 < pj < 1.0 else (-1, 0.0)
+    if pi > 0.5:  # a fractional survivor with no partner left
+        chosen.append(carry)
     if len(chosen) != plays:
         raise RuntimeError("rounding did not land on exactly K arms; input off the simplex")
+    chosen.sort()
     return chosen
 
 
 def _pairwise_round(p: np.ndarray, plays: int, rng: np.random.Generator) -> np.ndarray:
-    work = _rounding_start(p, plays)
+    """One draw per row of the (rows, N) stack ``p`` of checked vectors,
+    which it snaps (and so clips) before the first step."""
+    work = np.array(p, dtype=np.float64)
+    _snap(work)
     for _ in range(p.shape[1]):
         frac = (work > 0.0) & (work < 1.0)
         active = np.nonzero(frac.sum(axis=1) >= 2)[0]

@@ -144,9 +144,8 @@ def test_04_exp3_reduction():
         n, gamma, rounds = 6, 0.25, 1000
         rng = episode_rng(1004, 1)
         rewards = rng.random((rounds, n))
-        # the engine's state of one budgeted episode, as its single row
-        state = Exp3State(np.zeros((1, n)), np.zeros((1, n)), np.zeros((1, n)),
-                          np.zeros((1, n)), np.array([[gamma]]), Variant.MB, n, 1)
+        # the engine's state of one budgeted episode
+        state = Exp3State(Variant.MB, n, 1, gamma)
         classic_lw = np.zeros(n)
         arm_rng = episode_rng(1004, 2)
         for t in range(rounds):
@@ -156,11 +155,11 @@ def test_04_exp3_reduction():
             r = rewards[t, arm]
             classic_lw[arm] += (gamma / n) * (r / p_classic[arm])
 
-            cap = compute_cap(WeightVector(state.log_weights[0]), gamma, 1, n)
+            cap = compute_cap(WeightVector(state.log_weights), gamma, 1, n)
             assert cap.capped.size == 0
             probs = compute_probabilities(cap, gamma, 1)
-            exp3._update(state, probs.p[None], None, [(arm,)], [[r]], [[0.0]])
-        assert np.max(np.abs(state.log_weights[0] - classic_lw)) <= 1e-10
+            exp3._update(state, probs.p.tolist(), (), (arm,), [r], [0.0])
+        assert np.max(np.abs(np.array(state.log_weights) - classic_lw)) <= 1e-10
 
 
 def _check_budget_trace(trace, budget, k):

@@ -31,6 +31,18 @@ def run_doc(rng):
     }
 
 
+# lower-bound environment keys that run, bounds, sweep and lbenv refuse at
+# N = 4, K = 2
+LOWER_BOUND_BREAKAGES = {
+    "good_set_arm_out_of_range": {"good_set": [0, 7]},
+    "good_set_too_large": {"good_set": [0, 1, 2]},
+    "good_set_repeated_arm": {"good_set": [1, 1]},
+    "eps_out_of_range": {"eps": 0.9},
+    "nan_eps": {"eps": float("nan")},
+    "string_eps": {"eps": "abc"},
+}
+
+
 class TestRun:
     def test_byte_identical_outputs(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", run_doc(episode_rng(1, 1)))
@@ -76,7 +88,8 @@ class TestRun:
         "nan_mean", "nan_reward", "inf_cost", "neg_inf_reward", "inf_budget", "gamma_on_ucb",
         "zero_oracle_gain", "negative_seed", "fractional_replications", "fractional_n_arms",
         "bool_plays", "fractional_horizon", "fractional_seed", "string_replications",
-        "fractional_good_set",
+        "fractional_good_set", "good_set_arm_out_of_range", "good_set_too_large",
+        "good_set_repeated_arm", "eps_out_of_range", "nan_eps", "string_eps",
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
         doc = run_doc(episode_rng(1, 1))
@@ -117,11 +130,24 @@ class TestRun:
             doc["replications"] = "3"
         elif breakage == "fractional_good_set":
             doc["environment"] = {"type": "lower_bound", "eps": 0.1, "good_set": [0.5, 1.9]}
+        elif breakage in LOWER_BOUND_BREAKAGES:
+            doc["environment"] = {"type": "lower_bound", "eps": 0.1, "good_set": None}
+            doc["environment"].update(LOWER_BOUND_BREAKAGES[breakage])
         else:
             doc["policy"]["gamma"] = 0.3
         cfg = write_json(tmp_path / "bad.json", doc)
         assert main(["run", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("breakage", ["good_set_arm_out_of_range", "good_set_too_large"])
+    def test_bad_good_set_exits_2_in_bounds_and_sweep(self, tmp_path, capsys, breakage):
+        doc = run_doc(episode_rng(1, 1))
+        doc["environment"] = {"type": "lower_bound", "eps": 0.1,
+                              **LOWER_BOUND_BREAKAGES[breakage]}
+        cfg = write_json(tmp_path / "bad.json", doc)
+        for argv in (["bounds"], ["sweep", "--budgets", "5,10"]):
+            assert main(argv + ["--config", cfg]) == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", run_doc(episode_rng(1, 1)))
@@ -344,8 +370,11 @@ class TestLbenv:
         from budgetbandits import tuned_eps
         assert doc["eps"] == pytest.approx(tuned_eps(20.0, 5, 2, 0.5))
 
-    @pytest.mark.parametrize("breakage", ["fractional_n_arms", "bool_plays", "negative_seed",
-                                          "fractional_good_set", "negative_seed_flag"])
+    @pytest.mark.parametrize("breakage", [
+        "fractional_n_arms", "bool_plays", "negative_seed", "fractional_good_set",
+        "negative_seed_flag", "plays_above_n_arms", "inf_budget", "c_min_one",
+        *LOWER_BOUND_BREAKAGES,
+    ])
     def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
         doc = {"n_arms": 4, "plays": 2, "budget": 20.0, "c_min": 0.5, "base_seed": 3}
         flags = []
@@ -357,6 +386,14 @@ class TestLbenv:
             doc["base_seed"] = -1
         elif breakage == "fractional_good_set":
             doc["good_set"] = [0.5, 1.9]
+        elif breakage == "plays_above_n_arms":
+            doc.update(n_arms=3, plays=5)
+        elif breakage == "inf_budget":
+            doc["budget"] = float("inf")
+        elif breakage == "c_min_one":
+            doc["c_min"] = 1.0
+        elif breakage in LOWER_BOUND_BREAKAGES:
+            doc.update(LOWER_BOUND_BREAKAGES[breakage])
         else:
             flags = ["--seed", "-1"]
         cfg = write_json(tmp_path / "lb.json", doc)

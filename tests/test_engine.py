@@ -21,7 +21,9 @@ from budgetbandits import (
     exp3pm_run,
     exp3pmb_run,
 )
+from budgetbandits import sampling
 from budgetbandits.exp3 import Variant, play_lockstep
+from budgetbandits.sampling import _check_simplex, _pairwise_steps
 from exp3_reference import reference_episode
 
 C_MIN = 0.5
@@ -58,11 +60,20 @@ def assert_same_trace(got, want):
         assert float(g.budget_remaining).hex() == float(w.budget_remaining).hex()
 
 
-def make_case(policy, kind, n, k, seed, skew=False):
+def assert_same_state(got, want):
+    """Two generators' bit_generator.state dicts are equal, arrays included."""
+    def same(a, b):
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(same(a[key], b[key]) for key in a)
+        return np.array_equal(a, b)
+    assert same(got.bit_generator.state, want.bit_generator.state)
+
+
+def make_case(policy, kind, n, k, seed, skew=False, rounds=ROUNDS):
     rng = episode_rng(seed, 0)
-    budget = ROUNDS * k * 0.75
+    budget = rounds * k * 0.75
     t_max = int(math.ceil(budget / (k * C_MIN))) + 1
-    horizon = ROUNDS if policy == "exp3_pm" else None
+    horizon = rounds if policy == "exp3_pm" else None
     cfg = BanditConfig(n_arms=n, plays=k, budget=budget, c_min=C_MIN, horizon=horizon)
     if kind == "adversarial":
         rewards = rng.random((t_max, n))
@@ -178,6 +189,77 @@ def test_epoch_test_fires_repeatedly_at_round_one():
     assert [t for _, t in starts].count(1) >= 2
 
 
+def assert_rows_equal_reference(policy, cfg, env, seed, rows, gamma):
+    """One pass of ``rows`` rows equals the reference episodes on the same
+    streams, trace for trace and generator end state for end state; returns
+    the pass's traces."""
+    want_rngs = [episode_rng(seed, i + 1) for i in range(rows)]
+    want = [reference_episode(policy, cfg, env, rng, gamma=gamma) for rng in want_rngs]
+    got_rngs = [episode_rng(seed, i + 1) for i in range(rows)]
+    got = play_lockstep(Variant(policy), cfg, env, got_rngs, gamma=gamma, record=True)
+    for g, w, g_rng, w_rng in zip(got, want, got_rngs, want_rngs):
+        assert_same_trace(g, w)
+        assert_same_state(g_rng, w_rng)
+    return got
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("kind", ENVIRONMENTS)
+@pytest.mark.parametrize("rows", (1, 4))
+def test_generators_end_where_the_reference_leaves_them(policy, kind, rows):
+    seed = 91 + rows
+    cfg, env = make_case(policy, kind, 8, 2, seed)
+    assert_rows_equal_reference(policy, cfg, env, seed, rows,
+                                0.3 if policy == "exp3_mb" else None)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_long_adversarial_episode_crosses_blocks(policy):
+    """About 300 rounds of N = 8 draw several blocks of uniforms."""
+    seed = 23
+    cfg, env = make_case(policy, "adversarial", 8, 2, seed, rounds=300)
+    got = assert_rows_equal_reference(policy, cfg, env, seed, 3,
+                                      0.3 if policy == "exp3_mb" else None)
+    # replaying row 0's roundings with scalar draws counts its uniforms
+    rng, used = episode_rng(seed, 1), [0]
+
+    def draw():
+        used[0] += 1
+        return rng.random()
+
+    for rec in got[0].rounds:
+        assert tuple(_pairwise_steps(rec.probabilities.tolist(), cfg.plays, draw)) == rec.arms
+    assert used[0] > 3 * sampling.BLOCK
+
+
+@pytest.mark.parametrize("block", (1, 2, 7))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_small_blocks_equal_reference(policy, block, monkeypatch):
+    monkeypatch.setattr(sampling, "BLOCK", block)
+    seed = 41 + block
+    cfg, env = make_case(policy, "adversarial", 9, 2, seed)
+    assert_rows_equal_reference(policy, cfg, env, seed, 4,
+                                0.3 if policy == "exp3_mb" else None)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("row", [
+    [NAN, 0.5, 0.5, 1.0], [0.5, NAN, 0.5, 1.0], [0.5, 0.5, 1.0, NAN], [NAN] * 4,
+    [0.5, 0.5, NAN, 1.0 + 1e-7],  # a NaN beside an in-tolerance entry
+    [1.5, 0.5, 0.0, 0.0], [-0.5, 0.5, 1.0, 1.0],
+    [0.5, 0.5, 0.5, 0.0], [0.5, 0.5, 0.5, 0.75], [float("inf"), 0.5, 0.5, 0.0],
+], ids=lambda row: repr(row))
+def test_start_check_rejects_bad_rows(row):
+    with pytest.raises(ValueError):
+        _check_simplex(row, 2)
+
+
+def test_start_check_accepts_within_tolerance():
+    _check_simplex([1.0 + 5e-7, 1.0 - 5e-7, -5e-7, 5e-7], 2)
+
+
 class TestNumpyHazards:
     """The row-wise array stages give what the 1-d stages gave."""
 
@@ -191,6 +273,20 @@ class TestNumpyHazards:
         for r in range(rows):
             one = np.exp(lw[r] - lw[r].max())
             assert bits(w[r]) == bits(one)
+            assert totals[r].hex() == float(one.sum()).hex()
+
+    @pytest.mark.parametrize("n", (3, 8, 9, 32))
+    @pytest.mark.parametrize("rows", (1, 4, 5))
+    def test_flat_exp_and_reshaped_row_sums(self, n, rows):
+        # the engine exponentiates every row end to end in one flat array
+        rng = episode_rng(n, rows + 1)
+        lw = rng.normal(0.0, 6.0, (rows, n))
+        shifted = (lw - lw.max(axis=1, keepdims=True)).ravel().tolist()
+        w = np.exp(shifted)
+        totals = np.add.reduce(w.reshape(-1, n), axis=1)
+        for r in range(rows):
+            one = np.exp(lw[r] - lw[r].max())
+            assert bits(w[r * n:(r + 1) * n]) == bits(one)
             assert totals[r].hex() == float(one.sum()).hex()
 
     @pytest.mark.parametrize("n", (3, 8, 9, 32))

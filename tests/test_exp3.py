@@ -25,6 +25,7 @@ from budgetbandits import (
 )
 from budgetbandits import exp3, harness
 from budgetbandits.exp3 import Exp3State, Variant
+from budgetbandits.sampling import _check_simplex, _pairwise_steps
 from itertools import combinations
 
 E = math.e
@@ -36,19 +37,28 @@ def constant_env(t_max, n, reward, cost):
 
 
 def one_row_state(n, plays, gamma, log_weights=None):
-    """The engine's state of one budgeted episode, as its single row."""
-    lw = np.zeros((1, n)) if log_weights is None else np.array([log_weights], dtype=float)
-    return Exp3State(lw, np.zeros((1, n)), np.zeros((1, n)), np.zeros((1, n)),
-                     np.array([[gamma]]), Variant.MB, n, plays)
+    """The engine's state of one budgeted episode."""
+    state = Exp3State(Variant.MB, n, plays, gamma)
+    if log_weights is not None:
+        state.log_weights = [float(x) for x in log_weights]
+    return state
 
 
-def update(state, p, arms, rewards, costs, capped=None):
-    """One round folded into a one-row state: the engine's update stage."""
-    mask = None
-    if capped is not None:
-        mask = np.zeros((1, state.n_arms), dtype=bool)
-        mask[0, capped] = True
-    exp3._update(state, np.array([p], dtype=float), mask, [arms], [rewards], [costs])
+def update(state, p, arms, rewards, costs, capped=()):
+    """One round folded into the state: the engine's update stage."""
+    exp3._update(state, [float(q) for q in p], frozenset(capped), arms, rewards, costs)
+
+
+def engine_round(state, env, t, rng):
+    """One round of the engine's stages for one state on an adversarial
+    environment: (p, capped, arms, rewards, costs), then the fold."""
+    [(p, capped)] = exp3._probabilities([state])
+    _check_simplex(p, state.plays)
+    arms = _pairwise_steps(p, state.plays, rng.random)
+    rewards = [float(env.rewards[t - 1, j]) for j in arms]
+    costs = [float(env.costs[t - 1, j]) for j in arms]
+    exp3._update(state, p, capped, arms, rewards, costs)
+    return p, capped, arms, rewards, costs
 
 
 def epoch_done(gain, loss, g_r, gamma_r, n, k, c_min):
@@ -67,9 +77,9 @@ class TestEstimate:
         # only the played arm's accumulators and weight move
         state = one_row_state(2, 1, 0.5)
         update(state, [0.5, 0.5], (0,), [0.7], [0.6])
-        assert state.gain_acc[0, 1] == 0.0 and state.loss_acc[0, 1] == 0.0
-        assert state.log_weights[0, 1] == 0.0
-        assert state.gain_acc[0, 0] == pytest.approx(1.4)
+        assert state.gain_acc[1] == 0.0 and state.loss_acc[1] == 0.0
+        assert state.log_weights[1] == 0.0
+        assert state.gain_acc[0] == pytest.approx(1.4)
 
     def test_monte_carlo_unbiasedness(self):
         # inclusion with p = 0.25, r = 0.6: the mean estimate converges to r
@@ -93,25 +103,25 @@ class TestWeightUpdate:
     def test_zero_estimates_leave_weights(self):
         state = one_row_state(3, 2, 0.4)
         update(state, [1.0] * 3, (0, 1), [0.0, 0.0], [0.0, 0.0])
-        assert np.array_equal(state.log_weights, np.zeros((1, 3)))
+        assert state.log_weights == [0.0] * 3
 
     def test_cancellation(self):
         state = one_row_state(3, 2, 0.4)
         update(state, [1.0] * 3, (0, 1), [1.7, 0.0], [1.7, 0.0])
-        assert np.array_equal(state.log_weights, np.zeros((1, 3)))
+        assert state.log_weights == [0.0] * 3
 
     def test_hand_increment(self):
         # K=1, N=2, gamma=0.5, rhat = 1 / 0.5 = 2, chat=0 -> log step (0.5/2)*2 = 0.5
         state = one_row_state(2, 1, 0.5)
         update(state, [0.5, 0.5], (0,), [1.0], [0.0])
-        assert state.log_weights[0, 0] == pytest.approx(0.5)
-        assert state.log_weights[0, 1] == 0.0
+        assert state.log_weights[0] == pytest.approx(0.5)
+        assert state.log_weights[1] == 0.0
 
     def test_capped_arm_unchanged(self):
         state = one_row_state(3, 2, 0.4, log_weights=[2.0, 0.0, 0.0])
         update(state, [1.0] * 3, (0, 1), [3.0, 1.0], [0.0, 0.0], capped=[0])
-        assert state.log_weights[0, 0] == 2.0
-        assert state.log_weights[0, 1] > 0.0
+        assert state.log_weights[0] == 2.0
+        assert state.log_weights[1] > 0.0
 
 
 class TestRound:
@@ -119,9 +129,8 @@ class TestRound:
         # one round of the engine's stages on a one-row state
         env = constant_env(50, 4, 0.5, 0.5)
         state = one_row_state(4, 2, 1.0, log_weights=[5.0, -3.0, 0.0, 1.0])  # must not matter
-        ratio = np.array([exp3._row_ratio(1.0, 2, 4)])
-        p, capped, arms, _, _ = exp3._observe(state, ratio, env, 1, [episode_rng(0, 1)])
-        assert capped is None and len(arms[0]) == 2
+        p, capped, arms, _, _ = engine_round(state, env, 1, episode_rng(0, 1))
+        assert not capped and len(arms) == 2
         assert np.allclose(p, 0.5)
 
     def test_cost_floor_forces_termination(self):
@@ -153,13 +162,11 @@ class TestRound:
         cfg = BanditConfig(n_arms=3, plays=2, budget=50.0, c_min=0.5)
         env = constant_env(120, 3, 1.0, 0.5)
         state = one_row_state(3, 2, 0.1, log_weights=[math.log(10.0), 0.0, 0.0])
-        before = state.log_weights.copy()
-        ratio = np.array([exp3._row_ratio(0.1, cfg.plays, cfg.n_arms)])
-        p, capped, arms, rewards, costs = exp3._observe(state, ratio, env, 1, [episode_rng(1, 1)])
-        exp3._update(state, p, capped, arms, rewards, costs)
-        assert p[0, 0] == pytest.approx(1.0, abs=1e-9)
-        assert capped[0, 0]
-        assert state.log_weights[0, 0] == before[0, 0]
+        before = list(state.log_weights)
+        p, capped, arms, rewards, costs = engine_round(state, env, 1, episode_rng(1, 1))
+        assert p[0] == pytest.approx(1.0, abs=1e-9)
+        assert 0 in capped
+        assert state.log_weights[0] == before[0]
 
 
 class TestEpisodes:
@@ -419,8 +426,8 @@ class TestClassicReduction:
             # classic update
             classic_lw[arm] += (gamma / n) * (r / p_classic[arm])
             # same draw fed through the budgeted update with zero cost
-            cap = compute_cap(WeightVector(state.log_weights[0]), gamma, 1, n)
+            cap = compute_cap(WeightVector(state.log_weights), gamma, 1, n)
             probs = compute_probabilities(cap, gamma, 1)
             assert cap.capped.size == 0  # K=1 never caps
             update(state, probs.p, (arm,), [r], [0.0])
-        assert np.max(np.abs(state.log_weights[0] - classic_lw)) <= 1e-10
+        assert np.max(np.abs(np.array(state.log_weights) - classic_lw)) <= 1e-10
