@@ -14,25 +14,19 @@ from .core import (
     ConfigError,
     EpisodeTrace,
     Family,
-    RoundOutcome,
     SequenceExhausted,
     StochasticEnv,
     default_t_max,
     env_from_dict,
     env_to_dict,
     episode_rng,
-    lookup_round,
-    sample_round,
     validate_config,
 )
 from .sampling import (
     CapResult,
-    ProbabilityVector,
-    WeightVector,
     compute_cap,
     compute_probabilities,
     dependent_rounding,
-    dependent_rounding_batch,
 )
 from .ucb import UcbState, exploration_term, ucb_init, ucb_run_episode, ucb_select, ucb_update
 from .exp3 import (
@@ -40,7 +34,6 @@ from .exp3 import (
     HighProbParams,
     Variant,
     epoch_threshold,
-    estimate,
     exp31mb_run,
     exp3mb_run_episode,
     exp3pm_parameters,

@@ -5,10 +5,10 @@ played arm's reward in [0, 1] and cost in [c_min, 1], and pays costs out of a
 budget. The round whose total cost exceeds the remaining budget terminates the
 episode: its reward is not credited and its cost is not charged.
 
-A stochastic round is drawn by draw_round, for ucb_mb's episodes, the exp3
-engine's stochastic rows and sample_round alike. It returns the played arms'
-rewards and costs as float lists. A Bernoulli round takes its 2K uniforms
-from one generator call and compares them with per-arm probabilities that
+A stochastic round is drawn by draw_round, for ucb_mb's episodes and the
+exp3 engine's stochastic rows alike. It returns the played arms' rewards and
+costs as float lists. A Bernoulli round takes its 2K uniforms from one
+generator call and compares them with per-arm probabilities that
 StochasticEnv computes once; a Beta round makes one rng.beta call for the
 rewards and one for the costs.
 """
@@ -181,23 +181,6 @@ class AdversarialEnv:
         return float(self.costs.min())
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
-    """Arms played in one round with their observed rewards and costs."""
-
-    arms: tuple[int, ...]
-    rewards: np.ndarray
-    costs: np.ndarray
-
-    @property
-    def reward(self) -> float:
-        return sum_in_order(self.rewards.tolist())
-
-    @property
-    def cost(self) -> float:
-        return sum_in_order(self.costs.tolist())
-
-
 def sum_in_order(terms: Iterable, out: Optional[np.ndarray] = None):
     """Add ``terms`` one at a time, first to last.
 
@@ -284,22 +267,6 @@ def default_t_max(budget: float, plays: int, c_min: float) -> int:
     return int(math.ceil(budget / (plays * c_min))) + 1
 
 
-def _check_arms(arms: Sequence[int], n_arms: int) -> tuple[int, ...]:
-    idx = tuple(int(a) for a in arms)
-    if len(set(idx)) != len(idx):
-        raise ValueError("arms must be distinct")
-    if any(a < 0 or a >= n_arms for a in idx):
-        raise IndexError("arm index out of range")
-    return idx
-
-
-def sample_round(env: StochasticEnv, arms: Sequence[int], rng: np.random.Generator) -> RoundOutcome:
-    """Draw one round of independent rewards and costs for the given arms."""
-    idx = _check_arms(arms, env.n_arms)
-    rewards, costs = draw_round(env, idx, rng)
-    return RoundOutcome(idx, np.array(rewards), np.array(costs))
-
-
 def draw_round(env: StochasticEnv, arms: Sequence[int], rng: np.random.Generator,
                ) -> tuple[list[float], list[float]]:
     """(rewards, costs) of the distinct, in-range ``arms``, in their order.
@@ -336,19 +303,6 @@ def _beta_on_unit(mean: np.ndarray, concentration: float, rng: np.random.Generat
         m = out[interior]
         out[interior] = rng.beta(m * concentration, (1.0 - m) * concentration)
     return out
-
-
-def lookup_round(env: AdversarialEnv, t: int, arms: Sequence[int]) -> RoundOutcome:
-    """Return the fixed row-t outcome for the given arms (1-based t, pure)."""
-    if t < 1:
-        raise ValueError("round index t is 1-based")
-    if t > env.t_max:
-        raise SequenceExhausted(
-            f"sequence exhausted: round {t} exceeds T_max={env.t_max}"
-        )
-    idx = _check_arms(arms, env.n_arms)
-    a = np.asarray(idx, dtype=np.intp)
-    return RoundOutcome(idx, env.rewards[t - 1, a].copy(), env.costs[t - 1, a].copy())
 
 
 def env_to_dict(env: StochasticEnv | AdversarialEnv) -> dict:

@@ -1,7 +1,7 @@
 """Adversarial policies: exponential weights with exactly K plays per round.
 
 Four variants share one round (cap weights, map to probabilities, draw K
-arms by dependent rounding, observe, estimate, reweight):
+arms by dependent rounding, observe, fold in the estimates, reweight):
 
 * budgeted   -- plays until the budget runs out; weight multiplier
   exp((K gamma / N)(rhat_i - chat_i)) for arms outside the capped set.
@@ -67,7 +67,6 @@ from .core import (
 )
 from .sampling import (
     BlockUniforms,
-    WeightVector,
     _check_simplex,
     _pairwise_steps,
     cap_ratio,
@@ -96,7 +95,7 @@ class Exp3State:
     ``conf_scale`` is the variant's per-round confidence factor
     (1/sqrt(NT) or sqrt(K c_min)/sqrt(NB)). set_gamma derives from gamma the
     constants a round reads: the cap-test ratio, the weight rate (the
-    multiplier of the estimate inside the weight exponent) and the two
+    multiplier of the estimates inside the weight exponent) and the two
     factors of the probability map.
     """
 
@@ -157,41 +156,28 @@ def _probabilities(states: Sequence[Exp3State]) -> list[tuple[list[float], Conta
             out.append(([1.0 if (q := k * (keep * x / total + spread)) > 1.0 else q
                          for x in w[r * n:(r + 1) * n]], ()))
         else:
-            cap = compute_cap(WeightVector(np.array(s.log_weights)), s.gamma, s.plays,
-                              s.n_arms)
-            out.append((compute_probabilities(cap, s.gamma, s.plays).p.tolist(),
+            cap = compute_cap(s.log_weights, s.gamma, s.plays, s.n_arms)
+            out.append((compute_probabilities(cap, s.gamma, s.plays).tolist(),
                         frozenset(cap.capped.tolist())))
     return out
-
-
-def estimate(p: Sequence[float], arms: Sequence[int], rewards: Sequence[float],
-             costs: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Importance-weighted estimates x / p at the played ``arms``, in their order.
-
-    ``p`` holds every arm's inclusion probability, ``rewards`` and ``costs``
-    the played arms' observations. An arm is played with probability p_i, so
-    E[x_i / p_i * 1(played)] = x_i; the estimate of an arm not played is 0.
-    """
-    pa = [p[j] for j in arms]
-    if any(q <= 0.0 for q in pa):
-        raise ValueError("played arm has zero inclusion probability")
-    return [x / q for x, q in zip(rewards, pa)], [c / q for c, q in zip(costs, pa)]
 
 
 def _update(state: Exp3State, p: Sequence[float], capped: Container[int],
             arms: Sequence[int], rewards: Sequence[float], costs: Sequence[float]) -> None:
     """Fold one round of ``state``'s episode, which played ``arms``, into it.
 
-    The played arms' estimates x / p_i (estimate's arithmetic) move the
-    accumulators there. Log weights move by rate * delta outside the capped
-    arms: delta = rhat - chat at the played arms for the budgeted rule (the
-    doubling trick's moves capped arms too), and at every arm
-    (rhat - chat) + bonus, or rhat + bonus without costs, for the
-    high-probability rules, whose bonus alpha conf_scale / p_i is the only
-    term off the played arms and whose sigma_acc gains conf_scale / p_i at
-    every arm. Each sum is the one the 1-d arrays of the scalar loop form,
-    minus the terms that add +0.0 (no accumulator or log weight ever holds
-    -0.0). Probabilities are at least K gamma / N > 0.
+    The played arms' importance-weighted estimates x / p_i move the
+    accumulators there; an arm is played with probability p_i, so
+    E[x_i / p_i * 1(played)] = x_i, and an arm not played estimates 0.
+    Log weights move by rate * delta outside the capped arms: delta =
+    rhat - chat at the played arms for the budgeted rule (the doubling
+    trick's moves capped arms too), and at every arm (rhat - chat) + bonus,
+    or rhat + bonus without costs, for the high-probability rules, whose
+    bonus alpha conf_scale / p_i is the only term off the played arms and
+    whose sigma_acc gains conf_scale / p_i at every arm. Each sum is the one
+    the 1-d arrays of the scalar loop form, minus the terms that add +0.0
+    (no accumulator or log weight ever holds -0.0). Probabilities are at
+    least K gamma / N > 0.
     """
     variant, rate = state.variant, state.rate
     gain, loss, lw = state.gain_acc, state.loss_acc, state.log_weights

@@ -57,7 +57,6 @@ from .core import (
     ConfigError,
     EpisodeTrace,
     StochasticEnv,
-    _check_arms,
     default_t_max,
     env_from_dict,
     env_to_dict,
@@ -87,8 +86,9 @@ _BLOCK_CELLS = 1 << 14
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Which policy to run; exp3_mb takes either gamma directly or a gain
-    bound g ("oracle" tunes against the exact oracle gain)."""
+    """Which policy to run; exp3_mb takes either gamma in (0, 1] directly or
+    a gain bound g, a finite number > 0 or "oracle" (which tunes against the
+    exact oracle gain). Neither may be a bool."""
 
     name: str
     gamma: Optional[float] = None
@@ -97,13 +97,18 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if self.name not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.name!r}; expected one of {POLICY_NAMES}")
-        if self.name == "exp3_mb":
-            if (self.gamma is None) == (self.g is None):
-                raise ConfigError("exp3_mb needs exactly one of gamma or g")
-            if isinstance(self.g, str) and self.g != "oracle":
-                raise ConfigError("g must be a number or the string 'oracle'")
-        elif self.gamma is not None or self.g is not None:
-            raise ConfigError(f"{self.name} takes neither gamma nor g; only exp3_mb does")
+        if self.name != "exp3_mb":
+            if self.gamma is not None or self.g is not None:
+                raise ConfigError(f"{self.name} takes neither gamma nor g; only exp3_mb does")
+        elif (self.gamma is None) == (self.g is None):
+            raise ConfigError("exp3_mb needs exactly one of gamma or g")
+        elif self.gamma is not None:
+            # written so that NaN fails
+            if not (_real(self.gamma) and 0.0 < self.gamma <= 1.0):
+                raise ConfigError(f"gamma must be a number in (0, 1], got {self.gamma!r}")
+            object.__setattr__(self, "gamma", float(self.gamma))
+        elif self.g != "oracle" and not (_real(self.g) and 0.0 < self.g < math.inf):
+            raise ConfigError(f"g must be 'oracle' or a finite number > 0, got {self.g!r}")
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,15 @@ def oracle_gain_stochastic(env: StochasticEnv, cfg: BanditConfig) -> StochasticO
         lower_bracket=(cfg.budget / s_c - 1.0) * s_r,
         upper_bracket=s_r / s_c * (cfg.budget + 1.0),
     )
+
+
+def _check_arms(arms: Sequence[int], n_arms: int) -> tuple[int, ...]:
+    idx = tuple(int(a) for a in arms)
+    if len(set(idx)) != len(idx):
+        raise ValueError("arms must be distinct")
+    if any(a < 0 or a >= n_arms for a in idx):
+        raise IndexError("arm index out of range")
+    return idx
 
 
 def simulate_fixed_subset(env: AdversarialEnv, arms: Sequence[int], budget: float) -> float:
@@ -646,6 +660,10 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _seed(value) -> int:
     """A base seed: read by _integer and at least 0."""
     seed = _integer(value, "base_seed")
@@ -715,7 +733,7 @@ def run_spec_from_dict(doc: dict) -> RunSpec:
         pol_doc = doc["policy"]
         policy = PolicySpec(
             name=str(pol_doc["name"]),
-            gamma=float(pol_doc["gamma"]) if pol_doc.get("gamma") is not None else None,
+            gamma=pol_doc.get("gamma"),
             g=pol_doc.get("g"),
         )
         validate_config(cfg)

@@ -11,16 +11,14 @@ that matters here (the cap condition, v / sum(w), the probabilities) is
 invariant under a common rescaling, so all exponentiations subtract the
 maximum log weight first.
 
-Rounding comes in two kernels with one step rule. _pairwise_steps draws one
-subset on plain floats with one uniform per step; dependent_rounding calls
-it, and so does the lockstep engine (exp3.play_lockstep) for each of its
-rows, after _check_simplex has checked the row on plain floats. A uniform
-comes from a ``draw`` callable: the generator's own rng.random, or, for an
-engine row whose generator feeds nothing but rounding, a BlockUniforms
-reader, which draws rng.random(BLOCK) at a time and at the end rewinds the
-generator to exactly the uniforms it handed out. _pairwise_round steps many
-draws as numpy arrays, one uniform per unfinished row per step, for
-dependent_rounding_batch.
+Rounding has one kernel, _pairwise_steps, which draws one subset on plain
+floats with one uniform per step; dependent_rounding calls it, and so does
+the lockstep engine (exp3.play_lockstep) for each of its rows, after
+_check_simplex has checked the row on plain floats. A uniform comes from a
+``draw`` callable: the generator's own rng.random, or, for an engine row
+whose generator feeds nothing but rounding, a BlockUniforms reader, which
+draws rng.random(BLOCK) at a time and at the end rewinds the generator to
+exactly the uniforms it handed out.
 """
 
 from __future__ import annotations
@@ -36,21 +34,6 @@ import numpy as np
 SIMPLEX_TOL = 1e-6
 FREEZE_TOL = 1e-9
 BLOCK = 256  # uniforms per generator call of a BlockUniforms reader
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Arm weights stored as log w_i."""
-
-    log_weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        lw = np.asarray(self.log_weights, dtype=np.float64)
-        object.__setattr__(self, "log_weights", lw)
-        if lw.ndim != 1:
-            raise ValueError("log_weights must be a 1-d vector")
-        if not np.all(np.isfinite(lw)):
-            raise ValueError("log_weights must be finite")
 
 
 @dataclass(frozen=True)
@@ -72,20 +55,15 @@ class CapResult:
         return None if self.log_v is None else float(np.exp(self.log_v))
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Per-arm inclusion probabilities with sum(p) = K."""
-
-    p: np.ndarray
-
-
 def cap_ratio(gamma: float, plays: int, n_arms: int) -> float:
     """The threshold ratio (1/K - gamma/N) / (1 - gamma)."""
     return (1.0 / plays - gamma / n_arms) / (1.0 - gamma)
 
 
-def compute_cap(weights: WeightVector, gamma: float, plays: int, n_arms: int) -> CapResult:
-    """Cap weights so the probability map stays within [0, 1].
+def compute_cap(log_weights: Sequence[float] | np.ndarray, gamma: float, plays: int,
+                n_arms: int) -> CapResult:
+    """Cap the weights with logs ``log_weights`` so the probability map stays
+    within [0, 1].
 
     Capping triggers when max_i w_i >= ratio * sum_j w_j with
     ratio = (1/K - gamma/N)/(1 - gamma). The cap value v solves
@@ -100,9 +78,13 @@ def compute_cap(weights: WeightVector, gamma: float, plays: int, n_arms: int) ->
     gamma = 1 skips capping (probabilities are uniform regardless), and
     K = N caps everything (every arm must be played).
     """
+    lw = np.asarray(log_weights, dtype=np.float64)
+    if lw.ndim != 1:
+        raise ValueError("log_weights must be a 1-d vector")
+    if not np.all(np.isfinite(lw)):
+        raise ValueError("log_weights must be finite")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    lw = weights.log_weights
     if lw.shape[0] != n_arms:
         raise ValueError("weight vector length does not match n_arms")
     if gamma == 1.0:
@@ -140,17 +122,18 @@ def compute_cap(weights: WeightVector, gamma: float, plays: int, n_arms: int) ->
     raise RuntimeError("no consistent cap set found; weight state is inconsistent")
 
 
-def compute_probabilities(cap: CapResult, gamma: float, plays: int) -> ProbabilityVector:
-    """Map effective weights to p_i = K((1-gamma) w~_i / sum_j w~_j + gamma/N)."""
+def compute_probabilities(cap: CapResult, gamma: float, plays: int) -> np.ndarray:
+    """Per-arm inclusion probabilities p_i = K((1-gamma) w~_i / sum_j w~_j + gamma/N)
+    of the effective weights, with sum(p) = K."""
     log_eff = cap.log_effective
     n_arms = log_eff.shape[0]
     w = np.exp(log_eff - log_eff.max())
     p = plays * ((1.0 - gamma) * w / w.sum() + gamma / n_arms)
     np.minimum(p, 1.0, out=p)
-    return ProbabilityVector(p)
+    return p
 
 
-def dependent_rounding(plays: int, probabilities: ProbabilityVector | np.ndarray,
+def dependent_rounding(plays: int, probabilities: Sequence[float] | np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw exactly K distinct arm indices with the given inclusion marginals.
 
@@ -161,22 +144,12 @@ def dependent_rounding(plays: int, probabilities: ProbabilityVector | np.ndarray
     exactly and freezes at least one coordinate, so at most N - 1 steps run.
     Coordinates within 1e-9 of {0, 1} count as frozen.
     """
-    p = probabilities.p if isinstance(probabilities, ProbabilityVector) else np.asarray(probabilities)
+    p = np.asarray(probabilities)
     if p.ndim != 1:
         raise ValueError("probability vector must be 1-d")
     values = p.tolist()
     _check_simplex(values, plays)
     return np.asarray(_pairwise_steps(values, plays, rng.random), dtype=np.intp)
-
-
-def dependent_rounding_batch(plays: int, probabilities: ProbabilityVector | np.ndarray,
-                             draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``draws`` independent dependent-rounding draws, one per row."""
-    p = probabilities.p if isinstance(probabilities, ProbabilityVector) else np.asarray(probabilities)
-    if p.ndim != 1:
-        raise ValueError("probability vector must be 1-d")
-    _check_simplex(p.tolist(), plays)
-    return _pairwise_round(np.broadcast_to(p, (draws, p.shape[0])), plays, rng)
 
 
 def _check_simplex(p: list[float], plays: int) -> None:
@@ -227,14 +200,13 @@ def _pairwise_steps(p: Sequence[float], plays: int, draw: Callable[[], float]) -
     K arms chosen, in ascending order.
 
     Unrolled over floats because a draw per row and round is the policies'
-    hot path; step for step it is the batched kernel (same pairing order,
-    one uniform per step, from ``draw``, same freeze tolerance). An entry
-    within FREEZE_TOL of 0 or 1 is frozen from the start, as the batched
-    kernel's snap makes it. A step freezes at least one of its pair (the
-    moved coordinate lands on 0 exactly or within rounding of 1), so one
-    left-to-right scan suffices: it carries the pair's fractional survivor,
-    if any, into a step with the next fractional entry, which is the pair
-    of the first two fractional coordinates that the batched kernel takes.
+    hot path. Each step pairs the first two fractional coordinates and
+    reads one uniform from ``draw``; an entry within FREEZE_TOL of 0 or 1
+    is frozen, from the start and after every step. A step freezes at least
+    one of its pair (the moved coordinate lands on 0 exactly or within
+    rounding of 1), so one left-to-right scan suffices: it carries the
+    pair's fractional survivor, if any, into a step with the next
+    fractional entry.
     """
     chosen = []
     carry, pi = -1, 0.0  # the carried coordinate and its value
@@ -277,38 +249,3 @@ def _pairwise_steps(p: Sequence[float], plays: int, draw: Callable[[], float]) -
     chosen.sort()
     return chosen
 
-
-def _pairwise_round(p: np.ndarray, plays: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw per row of the (rows, N) stack ``p`` of checked vectors,
-    which it snaps (and so clips) before the first step."""
-    work = np.array(p, dtype=np.float64)
-    _snap(work)
-    for _ in range(p.shape[1]):
-        frac = (work > 0.0) & (work < 1.0)
-        active = np.nonzero(frac.sum(axis=1) >= 2)[0]
-        if active.size == 0:
-            break
-        sub = frac[active]
-        i = sub.argmax(axis=1)
-        sub[np.arange(active.size), i] = False
-        j = sub.argmax(axis=1)
-        pi = work[active, i]
-        pj = work[active, j]
-        alpha = np.minimum(1.0 - pi, pj)
-        beta = np.minimum(pi, 1.0 - pj)
-        up = rng.random(active.size) < beta / (alpha + beta)
-        work[active, i] = np.where(up, pi + alpha, pi - beta)
-        work[active, j] = np.where(up, pj - alpha, pj + beta)
-        _snap(work)
-
-    chosen = work > 0.5
-    counts = chosen.sum(axis=1)
-    if np.any(counts != plays):
-        raise RuntimeError("rounding did not land on exactly K arms; input off the simplex")
-    out = np.nonzero(chosen)[1].reshape(work.shape[0], plays)
-    return out
-
-
-def _snap(work: np.ndarray) -> None:
-    work[work <= FREEZE_TOL] = 0.0
-    work[work >= 1.0 - FREEZE_TOL] = 1.0

@@ -4,8 +4,10 @@ One replication, one round at a time, every stage on its own 1-d vectors:
 cap, probabilities, dependent rounding, observe, then (unless the round
 overdraws the budget) estimate and update. This is the per-round loop the
 policies ran before the lockstep round engine; tests/test_engine.py checks
-that the engine reproduces it bit for bit. It uses only the public per-stage
-helpers of the package and keeps its own copy of the termination rule.
+that the engine reproduces it bit for bit. It calls the package's cap,
+probability and rounding stages and draw_round, reads an adversarial
+round's row of the reward and cost matrices itself, and keeps its own
+estimates, update and termination rule.
 """
 
 from __future__ import annotations
@@ -15,17 +17,24 @@ import numpy as np
 from budgetbandits import (
     AdversarialEnv,
     EpisodeTrace,
-    WeightVector,
     compute_cap,
     compute_probabilities,
     dependent_rounding,
     epoch_threshold,
     exp3pm_parameters,
     exp3pmb_parameters,
-    lookup_round,
-    sample_round,
 )
-from budgetbandits.core import RoundRecord
+from budgetbandits.core import RoundRecord, draw_round, sum_in_order
+
+
+class _Outcome:
+    """The played arms, their rewards and costs as arrays, and the round's
+    reward and cost totals, summed in play order."""
+
+    def __init__(self, arms, rewards, costs):
+        self.arms = arms
+        self.rewards, self.costs = np.array(rewards), np.array(costs)
+        self.reward, self.cost = sum_in_order(rewards), sum_in_order(costs)
 
 
 class _State:
@@ -49,16 +58,17 @@ def _hp_rate(s):
 
 
 def _round(policy, s, env, remaining, rng):
-    cap = compute_cap(WeightVector(s.log_weights), s.gamma, s.plays, s.n)
-    probs = compute_probabilities(cap, s.gamma, s.plays)
-    arms = dependent_rounding(s.plays, probs, rng)
+    cap = compute_cap(s.log_weights, s.gamma, s.plays, s.n)
+    p = compute_probabilities(cap, s.gamma, s.plays)
+    arms = tuple(dependent_rounding(s.plays, p, rng).tolist())
     if isinstance(env, AdversarialEnv):
-        outcome = lookup_round(env, s.t, arms)
+        row = s.t - 1
+        outcome = _Outcome(arms, [float(env.rewards[row, j]) for j in arms],
+                           [float(env.costs[row, j]) for j in arms])
     else:
-        outcome = sample_round(env, arms, rng)
+        outcome = _Outcome(arms, *draw_round(env, arms, rng))
     if remaining is not None and outcome.cost > remaining:
-        return outcome, probs
-    p = probs.p
+        return outcome, p
     a = np.asarray(outcome.arms, dtype=np.intp)
     if np.any(p[a] <= 0.0):
         raise ValueError("played arm has zero inclusion probability")
@@ -90,7 +100,7 @@ def _round(policy, s, env, remaining, rng):
             step[cap.capped] = 0.0
         s.log_weights += step
     s.t += 1
-    return outcome, probs
+    return outcome, p
 
 
 def _play(trace, t, outcome, remaining, p, record):
@@ -114,8 +124,8 @@ def _budgeted(policy, s, env, rng, record, trace, remaining, stop=None):
         if stop is not None and stop():
             break
         t = s.t
-        outcome, probs = _round(policy, s, env, remaining, rng)
-        remaining = _play(trace, t, outcome, remaining, probs.p, record)
+        outcome, p = _round(policy, s, env, remaining, rng)
+        remaining = _play(trace, t, outcome, remaining, p, record)
     return remaining
 
 
@@ -161,9 +171,9 @@ def reference_episode(policy, cfg, env, rng, gamma=None, record=True) -> Episode
     gain = 0.0
     for _ in range(cfg.horizon):
         t = s.t
-        outcome, probs = _round(policy, s, env, None, rng)
+        outcome, p = _round(policy, s, env, None, rng)
         gain += outcome.reward
         if record:
             records.append(RoundRecord(t, outcome.arms, outcome.rewards, outcome.costs,
-                                       probs.p, 0.0))
+                                       p, 0.0))
     return EpisodeTrace(gain, cfg.horizon + 1, 0.0, records, {"sigma_acc": s.sigma_acc.copy()})

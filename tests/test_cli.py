@@ -42,6 +42,19 @@ LOWER_BOUND_BREAKAGES = {
     "string_eps": {"eps": "abc"},
 }
 
+# exp3_mb policy keys that run, bounds and sweep refuse
+POLICY_BREAKAGES = {
+    "gamma_above_one": {"gamma": 5},
+    "gamma_zero": {"gamma": 0},
+    "negative_gamma": {"gamma": -1},
+    "nan_gamma": {"gamma": float("nan")},
+    "bool_gamma": {"gamma": True},
+    "list_g": {"g": [1]},
+    "dict_g": {"g": {"a": 1}},
+    "bool_g": {"g": True},
+    "inf_g": {"g": float("inf")},
+}
+
 
 class TestRun:
     def test_byte_identical_outputs(self, tmp_path):
@@ -90,6 +103,7 @@ class TestRun:
         "bool_plays", "fractional_horizon", "fractional_seed", "string_replications",
         "fractional_good_set", "good_set_arm_out_of_range", "good_set_too_large",
         "good_set_repeated_arm", "eps_out_of_range", "nan_eps", "string_eps",
+        *POLICY_BREAKAGES,
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
         doc = run_doc(episode_rng(1, 1))
@@ -133,6 +147,8 @@ class TestRun:
         elif breakage in LOWER_BOUND_BREAKAGES:
             doc["environment"] = {"type": "lower_bound", "eps": 0.1, "good_set": None}
             doc["environment"].update(LOWER_BOUND_BREAKAGES[breakage])
+        elif breakage in POLICY_BREAKAGES:
+            doc["policy"] = {"name": "exp3_mb", **POLICY_BREAKAGES[breakage]}
         else:
             doc["policy"]["gamma"] = 0.3
         cfg = write_json(tmp_path / "bad.json", doc)
@@ -144,6 +160,15 @@ class TestRun:
         doc = run_doc(episode_rng(1, 1))
         doc["environment"] = {"type": "lower_bound", "eps": 0.1,
                               **LOWER_BOUND_BREAKAGES[breakage]}
+        cfg = write_json(tmp_path / "bad.json", doc)
+        for argv in (["bounds"], ["sweep", "--budgets", "5,10"]):
+            assert main(argv + ["--config", cfg]) == 2
+            assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("breakage", list(POLICY_BREAKAGES))
+    def test_bad_policy_exits_2_in_bounds_and_sweep(self, tmp_path, capsys, breakage):
+        doc = run_doc(episode_rng(1, 1))
+        doc["policy"] = {"name": "exp3_mb", **POLICY_BREAKAGES[breakage]}
         cfg = write_json(tmp_path / "bad.json", doc)
         for argv in (["bounds"], ["sweep", "--budgets", "5,10"]):
             assert main(argv + ["--config", cfg]) == 2

@@ -12,10 +12,10 @@ from budgetbandits import (
     env_from_dict,
     env_to_dict,
     episode_rng,
-    lookup_round,
-    sample_round,
+    exp3mb_run_episode,
     validate_config,
 )
+from budgetbandits.core import draw_round
 
 
 def test_validate_config_accepts_valid():
@@ -84,16 +84,16 @@ def test_point_mass_rewards_all_one():
     env = StochasticEnv(mean_rewards=[1.0, 1.0, 1.0], mean_costs=[0.7, 0.7, 0.7], c_min=0.5)
     rng = episode_rng(0, 1)
     for _ in range(20):
-        out = sample_round(env, [0, 1, 2], rng)
-        assert np.all(out.rewards == 1.0)
+        rewards, _ = draw_round(env, [0, 1, 2], rng)
+        assert rewards == [1.0, 1.0, 1.0]
 
 
 def test_cost_point_mass_at_cmin():
     env = StochasticEnv(mean_rewards=[0.5, 0.5], mean_costs=[0.5, 0.5], c_min=0.5)
     rng = episode_rng(0, 2)
     for _ in range(20):
-        out = sample_round(env, [0, 1], rng)
-        assert np.all(out.costs == 0.5)
+        _, costs = draw_round(env, [0, 1], rng)
+        assert costs == [0.5, 0.5]
 
 
 @pytest.mark.parametrize("family", [Family.BERNOULLI_SCALED, Family.BETA_SCALED])
@@ -105,9 +105,7 @@ def test_sample_means_converge(family):
     rewards = np.empty(n)
     costs = np.empty(n)
     for i in range(n):
-        out = sample_round(env, [0], rng)
-        rewards[i] = out.rewards[0]
-        costs[i] = out.costs[0]
+        [rewards[i]], [costs[i]] = draw_round(env, [0], rng)
     assert abs(rewards.mean() - 0.7) < 0.01
     assert abs(costs.mean() - 0.8) < 0.01
     assert rewards.min() >= 0.0 and rewards.max() <= 1.0
@@ -119,37 +117,17 @@ def test_sampled_supports_respected():
                         family=Family.BETA_SCALED)
     rng = episode_rng(7, 1)
     for _ in range(500):
-        out = sample_round(env, [0, 1], rng)
-        assert np.all((out.rewards >= 0.0) & (out.rewards <= 1.0))
-        assert np.all((out.costs >= 0.5) & (out.costs <= 1.0))
+        rewards, costs = draw_round(env, [0, 1], rng)
+        assert all(0.0 <= r <= 1.0 for r in rewards)
+        assert all(0.5 <= c <= 1.0 for c in costs)
 
 
-def test_sample_round_index_bounds():
-    env = StochasticEnv(mean_rewards=[0.5], mean_costs=[0.6], c_min=0.5)
-    with pytest.raises(IndexError):
-        sample_round(env, [1], episode_rng(0, 1))
-
-
-def test_lookup_constant_matrices():
-    env = AdversarialEnv(rewards=np.full((5, 3), 0.5), costs=np.full((5, 3), 0.5))
-    out = lookup_round(env, 3, [0, 2])
-    assert out.arms == (0, 2)
-    assert np.all(out.rewards == 0.5) and np.all(out.costs == 0.5)
-
-
-def test_lookup_is_pure():
-    rng = episode_rng(3, 1)
-    env = AdversarialEnv(rewards=rng.random((6, 4)), costs=0.5 + 0.5 * rng.random((6, 4)))
-    first = lookup_round(env, 2, [1, 3])
-    second = lookup_round(env, 2, [1, 3])
-    assert np.array_equal(first.rewards, second.rewards)
-    assert np.array_equal(first.costs, second.costs)
-
-
-def test_lookup_past_end_raises():
+def test_episode_past_end_raises():
+    # 5 rounds of cost 0.6 leave 7 of B = 10 unspent, so round 6 is read
     env = AdversarialEnv(rewards=np.full((5, 2), 0.5), costs=np.full((5, 2), 0.6))
-    with pytest.raises(SequenceExhausted, match="sequence exhausted"):
-        lookup_round(env, 6, [0])
+    cfg = BanditConfig(n_arms=2, plays=1, budget=10.0, c_min=0.5)
+    with pytest.raises(SequenceExhausted, match="round 6 exceeds T_max=5"):
+        exp3mb_run_episode(cfg, env, episode_rng(0, 1), gamma=0.5)
 
 
 def test_adversarial_env_is_immutable():
@@ -165,9 +143,9 @@ def test_default_t_max():
 
 def test_fixed_seed_reproduces_draws():
     env = StochasticEnv(mean_rewards=[0.3, 0.6], mean_costs=[0.6, 0.7], c_min=0.5)
-    a = [sample_round(env, [0, 1], episode_rng(9, 5)).rewards for _ in range(1)]
-    b = [sample_round(env, [0, 1], episode_rng(9, 5)).rewards for _ in range(1)]
-    assert np.array_equal(a[0], b[0])
+    a = [draw_round(env, [0, 1], episode_rng(9, 5))[0] for _ in range(1)]
+    b = [draw_round(env, [0, 1], episode_rng(9, 5))[0] for _ in range(1)]
+    assert a[0] == b[0]
 
 
 def test_env_json_round_trip_stochastic():

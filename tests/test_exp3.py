@@ -9,12 +9,10 @@ from budgetbandits import (
     ConfigError,
     PolicySpec,
     RunSpec,
-    WeightVector,
     compute_cap,
     compute_probabilities,
     epoch_threshold,
     episode_rng,
-    estimate,
     exp31mb_run,
     exp3mb_run_episode,
     exp3pm_parameters,
@@ -69,9 +67,10 @@ def epoch_done(gain, loss, g_r, gamma_r, n, k, c_min):
 
 class TestEstimate:
     def test_played_arm_definition(self):
-        rhat, chat = estimate([0.5, 0.5], (0,), [0.7], [0.6])
-        assert rhat[0] == pytest.approx(1.4)
-        assert chat[0] == pytest.approx(1.2)
+        state = one_row_state(2, 1, 0.5)
+        update(state, [0.5, 0.5], (0,), [0.7], [0.6])
+        assert state.gain_acc[0] == pytest.approx(1.4)
+        assert state.loss_acc[0] == pytest.approx(1.2)
 
     def test_unplayed_arm_is_zero(self):
         # only the played arm's accumulators and weight move
@@ -91,9 +90,10 @@ class TestEstimate:
         total_c = 0.0
         for inc in included:
             if inc:  # arm 0's estimate is 0 in a round that plays arm 1
-                rhat, chat = estimate(p, (0,), [0.6], [0.5])
-                total_r += rhat[0]
-                total_c += chat[0]
+                state = one_row_state(2, 1, 0.5)
+                update(state, p, (0,), [0.6], [0.5])
+                total_r += state.gain_acc[0]
+                total_c += state.loss_acc[0]
         assert abs(total_r / n - 0.6) < 0.01
         assert abs(total_c / n - 0.5) < 0.012
 
@@ -426,8 +426,8 @@ class TestClassicReduction:
             # classic update
             classic_lw[arm] += (gamma / n) * (r / p_classic[arm])
             # same draw fed through the budgeted update with zero cost
-            cap = compute_cap(WeightVector(state.log_weights), gamma, 1, n)
+            cap = compute_cap(state.log_weights, gamma, 1, n)
             probs = compute_probabilities(cap, gamma, 1)
             assert cap.capped.size == 0  # K=1 never caps
-            update(state, probs.p, (arm,), [r], [0.0])
+            update(state, probs, (arm,), [r], [0.0])
         assert np.max(np.abs(np.array(state.log_weights) - classic_lw)) <= 1e-10

@@ -5,7 +5,6 @@ import pytest
 
 from budgetbandits import (
     BanditConfig,
-    sample_round,
     StochasticEnv,
     episode_rng,
     exploration_term,
@@ -14,6 +13,7 @@ from budgetbandits import (
     ucb_select,
     ucb_update,
 )
+from budgetbandits.core import draw_round, sum_in_order
 from budgetbandits.ucb import UcbState
 
 
@@ -183,14 +183,14 @@ class TestEpisode:
         suboptimal = 0
         while True:
             arms = ucb_select(state)
-            out = sample_round(env, arms, rng)
-            if out.cost > remaining:
+            rewards, costs = draw_round(env, arms, rng)
+            cost = sum_in_order(costs)
+            if cost > remaining:
                 break
-            remaining -= out.cost
-            if set(out.arms) != {0}:
+            remaining -= cost
+            if set(arms) != {0}:
                 suboptimal += 1
-            ucb_update(state, out.arms, out.rewards.tolist(), out.costs.tolist(),
-                       state.t + 1, rng)
+            ucb_update(state, arms, rewards, costs, state.t + 1, rng)
         assert sum(state.suboptimal_counters) == suboptimal
 
     def test_no_leakage_into_unplayed_arms(self):
@@ -201,8 +201,7 @@ class TestEpisode:
         state, cost, _ = ucb_init(cfg, env, rng)
         frozen_mean = float(state.mean_reward[1])
         for _ in range(10):
-            out = sample_round(env, [0], rng)
-            ucb_update(state, out.arms, out.rewards.tolist(), out.costs.tolist(),
-                       state.t + 1, rng)
+            rewards, costs = draw_round(env, [0], rng)
+            ucb_update(state, [0], rewards, costs, state.t + 1, rng)
         assert state.mean_reward[1] == frozen_mean
         assert state.pull_counts[1] == 1

@@ -14,13 +14,12 @@ from budgetbandits import (
     Family,
     StochasticEnv,
     episode_rng,
-    sample_round,
     ucb_init,
     ucb_run_episode,
     ucb_select,
     ucb_update,
 )
-from budgetbandits.core import draw_round
+from budgetbandits.core import draw_round, sum_in_order
 from budgetbandits.ucb import UcbState
 from ucb_reference import reference_draw, reference_episode, reference_fold
 
@@ -95,7 +94,7 @@ def test_long_episode_equals_reference(family):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
 def test_step_calls_equal_episode(family):
-    # ucb_init, then ucb_select / sample_round / ucb_update round by round
+    # ucb_init, then ucb_select / draw_round / ucb_update round by round
     env = make_env(family, 5, 31)
     cfg = BanditConfig(n_arms=5, plays=2, budget=120.0, c_min=C_MIN)
     want = ucb_run_episode(cfg, env, episode_rng(31, 1), oracle_arms=(3, 4))
@@ -104,15 +103,16 @@ def test_step_calls_equal_episode(family):
     costs, rewards, remaining = [cost], [reward], cfg.budget - cost
     arms = [tuple(range(5))]
     while True:
-        outcome = sample_round(env, ucb_select(state), rng)
-        arms.append(outcome.arms)
-        costs.append(outcome.cost)
-        rewards.append(outcome.reward)
-        if outcome.cost > remaining:
+        played = tuple(ucb_select(state))
+        round_rewards, round_costs = draw_round(env, played, rng)
+        cost = sum_in_order(round_costs)
+        arms.append(played)
+        costs.append(cost)
+        rewards.append(sum_in_order(round_rewards))
+        if cost > remaining:
             break
-        remaining -= outcome.cost
-        ucb_update(state, outcome.arms, outcome.rewards.tolist(), outcome.costs.tolist(),
-                   state.t + 1, rng)
+        remaining -= cost
+        ucb_update(state, played, round_rewards, round_costs, state.t + 1, rng)
     assert bits(costs) == bits(want.round_costs)
     assert bits(rewards) == bits(want.round_rewards)
     assert arms == [r.arms for r in want.rounds]
