@@ -22,12 +22,7 @@ from .core import (
     episode_rng,
     validate_config,
 )
-from .sampling import (
-    CapResult,
-    compute_cap,
-    compute_probabilities,
-    dependent_rounding,
-)
+from .sampling import dependent_rounding
 from .ucb import UcbState, exploration_term, ucb_init, ucb_run_episode, ucb_select, ucb_update
 from .exp3 import (
     Exp3State,

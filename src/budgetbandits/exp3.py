@@ -22,13 +22,13 @@ numpy expressions of the scalar loop: the probabilities, dependent rounding
 (after the range and sum-to-K check, which only decides whether to raise),
 the observation, the termination rule (EpisodeTrace.play), the estimates,
 the folds into the accumulators and weights, and the high-probability
-rules' bonus and confidence widths. Three numpy stages are left, where
-numpy decides the bits: one np.exp over all
-rows' max-shifted log weights laid end to end (its SIMD exp), one row sum
-of that (rows, N) array (pairwise from eight terms), and, for the doubling
-trick's epoch test, _best_subset_totals on the stacked accumulators (the
-order np.partition leaves the top K in is the order they are summed in). A
-row that caps is mapped by sampling.compute_cap for that row alone.
+rules' bonus and confidence widths. The numpy calls left are where numpy
+decides the bits: one np.exp over all rows' max-shifted log weights laid
+end to end (its SIMD exp), one row sum of that (rows, N) array (pairwise
+from eight terms), np.exp, np.add.reduce and np.log once more for a row
+that caps (_cap), and, for the doubling trick's epoch test,
+_best_subset_totals on the stacked accumulators (the order np.partition
+leaves the top K in is the order they are summed in).
 
 Each row draws from its own generator just what its episode played alone
 draws, in the same order: one uniform per rounding step, then a stochastic
@@ -40,13 +40,18 @@ every generator ends where its lone episode leaves it. So each row equals
 its lone episode bit for bit. There is no other per-round path: the
 episode functions are the engine's one-row case.
 
-Weights are stored and updated in the log domain; see the sampling module.
+Weights live in the log domain throughout: over an episode of up to
+B / (K c_min) rounds the raw weights overflow doubles, while every quantity
+that matters here (the cap condition, v / sum(w), the probabilities) is
+invariant under a common rescaling, so all exponentiations subtract the
+maximum log weight first.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from itertools import accumulate
 from dataclasses import dataclass
 from enum import Enum
 from typing import Container, Optional, Sequence
@@ -65,14 +70,7 @@ from .core import (
     sum_in_order,
     validate_config,
 )
-from .sampling import (
-    BlockUniforms,
-    _check_simplex,
-    _pairwise_steps,
-    cap_ratio,
-    compute_cap,
-    compute_probabilities,
-)
+from .sampling import BlockUniforms, dependent_rounding
 
 E = math.e
 
@@ -84,6 +82,11 @@ class Variant(str, Enum):
     ONE_MB = "exp3_1_mb"  # doubling-trick epochs over the budgeted subroutine
     PM = "exp3_pm"        # high-probability, fixed horizon
     PMB = "exp3_pmb"      # high-probability, budgeted
+
+
+def cap_ratio(gamma: float, plays: int, n_arms: int) -> float:
+    """The threshold ratio (1/K - gamma/N) / (1 - gamma)."""
+    return (1.0 / plays - gamma / n_arms) / (1.0 - gamma)
 
 
 class Exp3State:
@@ -136,9 +139,9 @@ def _probabilities(states: Sequence[Exp3State]) -> list[tuple[list[float], Conta
     All rows' max-shifted log weights are exponentiated as one flat array
     and summed as its (rows, N) view, which gives each row the bits of the
     1-d exp and sum. A row whose largest shifted weight, exp(0) = 1, stays
-    below ratio sum(w) gets p = K((1 - gamma) w / sum(w) + gamma / N), each
-    entry at most 1, in the IEEE order of compute_probabilities; a row that
-    caps is mapped by compute_cap and compute_probabilities.
+    below ratio sum(w) maps these weights w; a row that caps maps its
+    effective weights (_cap). Either way p = K((1 - gamma) w / sum(w) +
+    gamma / N), clipped at 1, in the IEEE order of the 1-d numpy expression.
     """
     shifted = []  # every row's max-shifted log weights, end to end
     for s in states:
@@ -150,16 +153,54 @@ def _probabilities(states: Sequence[Exp3State]) -> list[tuple[list[float], Conta
     w = w.tolist()
     out = []
     for r, (s, total) in enumerate(zip(states, totals)):
-        if s.ratio * total > 1.0:
-            k, keep, spread = s.plays, s.keep, s.spread
-            # np.minimum's clip, and like it passes a NaN through
-            out.append(([1.0 if (q := k * (keep * x / total + spread)) > 1.0 else q
-                         for x in w[r * n:(r + 1) * n]], ()))
-        else:
-            cap = compute_cap(s.log_weights, s.gamma, s.plays, s.n_arms)
-            out.append((compute_probabilities(cap, s.gamma, s.plays).tolist(),
-                        frozenset(cap.capped.tolist())))
+        row, capped = w[r * n:(r + 1) * n], ()
+        if not s.ratio * total > 1.0:
+            row, total, capped = _cap(s, row)
+        k, keep, spread = s.plays, s.keep, s.spread
+        # np.minimum's clip, and like it passes a NaN through
+        out.append(([1.0 if (q := k * (keep * x / total + spread)) > 1.0 else q for x in row],
+                    capped))
     return out
+
+
+def _cap(s: Exp3State, w: list[float]) -> tuple[list[float], float, frozenset[int]]:
+    """The effective weights of a row that caps, max-shifted, their sum and
+    the capped arms; ``w`` holds the row's max-shifted weights.
+
+    The cap v solves v / sum_i min(w_i, v) = ratio, which is piecewise
+    linear in the size of the capped set: scanning sizes k in descending
+    weight order, v = ratio (sum of the weights below rank k) / (1 - ratio k)
+    is taken at the first k with w_(k) >= v > w_(k+1); ties at v are capped.
+    At K = N every arm is capped at the least weight. The sums below each
+    rank accumulate from the least weight up, since the tail can lie many
+    orders of magnitude below the top weights. log v is np.log's, and the
+    effective log weights go through one np.exp and np.add.reduce, so a
+    capped row has the bits of the 1-d numpy cap map kept in
+    tests/cap_reference.py.
+    """
+    n, lw = s.n_arms, s.log_weights
+    if s.plays == n:
+        capped, log_v = range(n), min(lw)
+    else:
+        ratio = s.ratio
+        order = sorted(range(n), key=w.__getitem__, reverse=True)  # stable
+        ws = [w[i] for i in order]
+        below = list(accumulate(reversed(ws)))[::-1]  # below[k]: the sum of ws[k:]
+        for k in range(1, n):
+            denom = 1.0 - ratio * k  # falls with k, so no later k passes once it fails
+            if denom > 0.0:
+                v = ratio * below[k] / denom
+                if ws[k - 1] >= v > ws[k]:
+                    break
+        else:
+            raise RuntimeError("no consistent cap set found; weight state is inconsistent")
+        capped, log_v = order[:k], float(np.log(v) + max(lw))
+    eff = list(lw)
+    for j in capped:
+        eff[j] = log_v
+    top = max(eff)
+    w_eff = np.exp([x - top for x in eff])
+    return w_eff.tolist(), float(np.add.reduce(w_eff)), frozenset(capped)
 
 
 def _update(state: Exp3State, p: Sequence[float], capped: Container[int],
@@ -315,8 +356,7 @@ def play_lockstep(variant: Variant, cfg: BanditConfig, env: StochasticEnv | Adve
                         f"sequence exhausted: round {t} exceeds T_max={env.t_max}")
                 round_rewards, round_costs = env.rewards[t - 1].tolist(), env.costs[t - 1].tolist()
             for i, (p, capped) in zip(live, _probabilities([states[i] for i in live])):
-                _check_simplex(p, k)
-                arms = _pairwise_steps(p, k, draws[i])
+                arms = dependent_rounding(k, p, draws[i])
                 if adversarial:
                     rewards = [round_rewards[j] for j in arms]
                     costs = [round_costs[j] for j in arms]

@@ -4,10 +4,11 @@ One replication, one round at a time, every stage on its own 1-d vectors:
 cap, probabilities, dependent rounding, observe, then (unless the round
 overdraws the budget) estimate and update. This is the per-round loop the
 policies ran before the lockstep round engine; tests/test_engine.py checks
-that the engine reproduces it bit for bit. It calls the package's cap,
-probability and rounding stages and draw_round, reads an adversarial
-round's row of the reward and cost matrices itself, and keeps its own
-estimates, update and termination rule.
+that the engine reproduces it bit for bit. It takes the cap and the
+probabilities from the numpy map in tests/cap_reference.py, calls the
+package's dependent_rounding and draw_round, reads an adversarial round's
+row of the reward and cost matrices itself, and keeps its own estimates,
+update and termination rule.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import numpy as np
 from budgetbandits import (
     AdversarialEnv,
     EpisodeTrace,
-    compute_cap,
-    compute_probabilities,
     dependent_rounding,
     epoch_threshold,
     exp3pm_parameters,
     exp3pmb_parameters,
 )
 from budgetbandits.core import RoundRecord, draw_round, sum_in_order
+from cap_reference import compute_cap, compute_probabilities
 
 
 class _Outcome:
@@ -60,7 +60,7 @@ def _hp_rate(s):
 def _round(policy, s, env, remaining, rng):
     cap = compute_cap(s.log_weights, s.gamma, s.plays, s.n)
     p = compute_probabilities(cap, s.gamma, s.plays)
-    arms = tuple(dependent_rounding(s.plays, p, rng).tolist())
+    arms = tuple(dependent_rounding(s.plays, p.tolist(), rng.random))
     if isinstance(env, AdversarialEnv):
         row = s.t - 1
         outcome = _Outcome(arms, [float(env.rewards[row, j]) for j in arms],

@@ -4,7 +4,7 @@ Many draws at once, as the rows of a numpy array: each step pairs the first
 two fractional coordinates of every unfinished row and takes one uniform per
 such row from a single rng.random call, snapping entries within FREEZE_TOL
 of 0 or 1. This is the batched kernel the package carried beside its
-single-draw one (sampling._pairwise_steps); a row's steps and uniforms are
+single-draw one (sampling.dependent_rounding); a row's steps and uniforms are
 the single draw's, so tests/test_sampling.py checks the package against it
 bit for bit. The 10^5-draw marginal tests draw from it too, which keeps
 their streams as they were. It keeps its own copy of the freeze tolerance.

@@ -20,8 +20,6 @@ from budgetbandits import (
     PolicySpec,
     RunSpec,
     StochasticEnv,
-    compute_cap,
-    compute_probabilities,
     episode_rng,
     exp31mb_run,
     exp3mb_run_episode,
@@ -43,7 +41,6 @@ from budgetbandits import (
 from budgetbandits import exp3
 from budgetbandits.bounds import StochasticBoundParams
 from budgetbandits.exp3 import Exp3State, Variant, play_lockstep
-from budgetbandits.sampling import cap_ratio
 from rounding_reference import dependent_rounding_batch
 
 
@@ -94,18 +91,16 @@ def test_02_capping_correctness():
             k = int(rng.integers(1, n + 1))
             gamma = float(rng.uniform(0.005, 1.0))
             lw = rng.normal(0.0, float(rng.uniform(0.5, 8.0)), n)
-            cap = compute_cap(lw, gamma, k, n)
-            p = compute_probabilities(cap, gamma, k)
+            state = Exp3State(Variant.MB, n, k, gamma)
+            state.log_weights = lw.tolist()
+            [(p, capped)] = exp3._probabilities([state])
+            p = np.array(p)
             assert abs(p.sum() - k) <= 1e-9
             assert np.all(p >= 0.0) and np.all(p <= 1.0)
-            if cap.log_v is not None:
-                assert np.all(np.abs(p[cap.capped] - 1.0) <= 1e-9)
-                shift = cap.log_effective.max()
-                v = np.exp(cap.log_v - shift)
-                eff = np.exp(cap.log_effective - shift)
-                if gamma < 1.0 and k < n:
-                    ratio = cap_ratio(gamma, k, n)
-                    assert abs(v / eff.sum() - ratio) <= 1e-9 * ratio
+            # the cap's defining ratio v / sum(w~) = (1/K - gamma/N)/(1 - gamma)
+            # holds exactly when each capped arm's p is 1 before the clip; with
+            # the sum at K after it, none was clipped by more than the sum's error
+            assert np.all(np.abs(p[sorted(capped)] - 1.0) <= 1e-9)
 
 
 def test_03_estimator_unbiasedness():
@@ -156,10 +151,9 @@ def test_04_exp3_reduction():
             r = rewards[t, arm]
             classic_lw[arm] += (gamma / n) * (r / p_classic[arm])
 
-            cap = compute_cap(state.log_weights, gamma, 1, n)
-            assert cap.capped.size == 0
-            probs = compute_probabilities(cap, gamma, 1)
-            exp3._update(state, probs.tolist(), (), (arm,), [r], [0.0])
+            [(probs, capped)] = exp3._probabilities([state])
+            assert not capped
+            exp3._update(state, probs, capped, (arm,), [r], [0.0])
         assert np.max(np.abs(np.array(state.log_weights) - classic_lw)) <= 1e-10
 
 

@@ -21,9 +21,10 @@ from budgetbandits import (
     exp3pm_run,
     exp3pmb_run,
 )
-from budgetbandits import sampling
-from budgetbandits.exp3 import Variant, play_lockstep
-from budgetbandits.sampling import _check_simplex, _pairwise_steps
+from budgetbandits import exp3, sampling
+from budgetbandits.exp3 import Exp3State, Variant, play_lockstep
+from budgetbandits.sampling import _check_simplex, dependent_rounding
+from cap_reference import compute_cap, compute_probabilities
 from exp3_reference import reference_episode
 
 C_MIN = 0.5
@@ -155,6 +156,27 @@ def test_capping_heavy(policy, n):
         assert_same_trace(g, w)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_probabilities_equal_cap_reference(n):
+    """Every row of one _probabilities call, capped or not, maps to the bits
+    of the numpy cap map, capped set included: K from 1 to N (K = N caps
+    every arm), gamma = 1 beside small and large gammas."""
+    rng = episode_rng(n, 77)
+    states = []
+    for k in range(1, n + 1):
+        for gamma in [1.0] + rng.uniform(0.005, 1.0, 19).tolist():
+            state = Exp3State(Variant.MB, n, k, gamma)
+            state.log_weights = rng.normal(0.0, float(rng.uniform(0.5, 8.0)), n).tolist()
+            states.append(state)
+    capped_below_n = 0
+    for state, (p, capped) in zip(states, exp3._probabilities(states)):
+        cap = compute_cap(state.log_weights, state.gamma, state.plays, n)
+        assert bits(p) == bits(compute_probabilities(cap, state.gamma, state.plays))
+        assert sorted(capped) == cap.capped.tolist()
+        capped_below_n += bool(capped) and state.plays < n
+    assert capped_below_n >= (0 if n == 2 else 5)  # at N = 2 only K = N caps
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("kind", ENVIRONMENTS)
 def test_rows_in_one_pass_equal_one_row_passes(policy, kind):
@@ -228,7 +250,7 @@ def test_long_adversarial_episode_crosses_blocks(policy):
         return rng.random()
 
     for rec in got[0].rounds:
-        assert tuple(_pairwise_steps(rec.probabilities.tolist(), cfg.plays, draw)) == rec.arms
+        assert tuple(dependent_rounding(cfg.plays, rec.probabilities.tolist(), draw)) == rec.arms
     assert used[0] > 3 * sampling.BLOCK
 
 

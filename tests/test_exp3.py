@@ -9,8 +9,6 @@ from budgetbandits import (
     ConfigError,
     PolicySpec,
     RunSpec,
-    compute_cap,
-    compute_probabilities,
     epoch_threshold,
     episode_rng,
     exp31mb_run,
@@ -23,7 +21,7 @@ from budgetbandits import (
 )
 from budgetbandits import exp3, harness
 from budgetbandits.exp3 import Exp3State, Variant
-from budgetbandits.sampling import _check_simplex, _pairwise_steps
+from budgetbandits.sampling import dependent_rounding
 from itertools import combinations
 
 E = math.e
@@ -51,8 +49,7 @@ def engine_round(state, env, t, rng):
     """One round of the engine's stages for one state on an adversarial
     environment: (p, capped, arms, rewards, costs), then the fold."""
     [(p, capped)] = exp3._probabilities([state])
-    _check_simplex(p, state.plays)
-    arms = _pairwise_steps(p, state.plays, rng.random)
+    arms = dependent_rounding(state.plays, p, rng.random)
     rewards = [float(env.rewards[t - 1, j]) for j in arms]
     costs = [float(env.costs[t - 1, j]) for j in arms]
     exp3._update(state, p, capped, arms, rewards, costs)
@@ -426,8 +423,7 @@ class TestClassicReduction:
             # classic update
             classic_lw[arm] += (gamma / n) * (r / p_classic[arm])
             # same draw fed through the budgeted update with zero cost
-            cap = compute_cap(state.log_weights, gamma, 1, n)
-            probs = compute_probabilities(cap, gamma, 1)
-            assert cap.capped.size == 0  # K=1 never caps
+            [(probs, capped)] = exp3._probabilities([state])
+            assert not capped  # K=1 never caps
             update(state, probs, (arm,), [r], [0.0])
         assert np.max(np.abs(np.array(state.log_weights) - classic_lw)) <= 1e-10

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from budgetbandits import (
-    compute_cap,
-    compute_probabilities,
+    AdversarialEnv,
+    BanditConfig,
+    ConfigError,
     dependent_rounding,
     episode_rng,
 )
-from budgetbandits.sampling import cap_ratio
+from budgetbandits.exp3 import Exp3State, Variant, _probabilities, cap_ratio, play_lockstep
 from rounding_reference import _pairwise_round, dependent_rounding_batch
 
 
@@ -15,37 +16,62 @@ def log_weights(*w):
     return np.log(np.asarray(w, dtype=np.float64))
 
 
+def probabilities(log_w, gamma, plays):
+    """p and the sorted capped arms of one budgeted state with log weights
+    ``log_w``, as the engine maps them."""
+    state = Exp3State(Variant.MB, len(log_w), plays, gamma)
+    state.log_weights = [float(x) for x in log_w]
+    [(p, capped)] = _probabilities([state])
+    return np.array(p), sorted(capped)
+
+
+def capped_mask(n, capped):
+    mask = np.zeros(n, dtype=bool)
+    mask[capped] = True
+    return mask
+
+
 class TestComputeCap:
+    """The engine's cap (exp3._cap), seen through the probabilities it maps.
+
+    The cap v solves v / sum_i min(w_i, v) = ratio exactly when each capped
+    arm's p before the clip, K((1 - gamma) ratio + gamma / N), is 1; after
+    the clip the p still sum to K only if no capped arm lost more than that
+    sum's error. p grows with the weight and reaches 1 at v, so the
+    separation (capped arms at or above v, the rest strictly below) holds
+    exactly when every uncapped arm has p < 1 and every capped arm's own
+    weight maps to p >= 1.
+    """
+
     def test_hand_derived_cap(self):
         # w = (10, 1, 1), K=2, N=3, nearly zero exploration: ratio ~ 0.5,
-        # v = 0.5 * (1 + 1) / (1 - 0.5) = 2, only the heavy arm capped
-        cap = compute_cap(log_weights(10, 1, 1), 1e-12, plays=2, n_arms=3)
-        assert cap.capped.tolist() == [0]
-        assert cap.v_t == pytest.approx(2.0, rel=1e-9)
+        # v = 0.5 * (1 + 1) / (1 - 0.5) = 2, only the heavy arm capped; an
+        # uncapped arm gets p = K / (v + 2)
+        p, capped = probabilities(log_weights(10, 1, 1), 1e-12, plays=2)
+        assert capped == [0]
+        assert 2.0 / p[1] - 2.0 == pytest.approx(2.0, rel=1e-9)
 
     def test_uniform_weights_do_not_trigger(self):
-        cap = compute_cap(log_weights(1, 1, 1, 1), 0.5, plays=2, n_arms=4)
-        assert cap.log_v is None
-        assert cap.capped.size == 0
-        assert np.array_equal(cap.log_effective, np.zeros(4))
+        p, capped = probabilities(log_weights(1, 1, 1, 1), 0.5, plays=2)
+        assert capped == []
+        assert p.tolist() == [0.5] * 4
 
     def test_k_equals_n_caps_everything(self):
-        cap = compute_cap(log_weights(5, 1, 3), 0.25, plays=3, n_arms=3)
-        assert cap.capped.tolist() == [0, 1, 2]
-        p = compute_probabilities(cap, 0.25, 3)
+        p, capped = probabilities(log_weights(5, 1, 3), 0.25, plays=3)
+        assert capped == [0, 1, 2]
         assert np.allclose(p, 1.0, atol=1e-9)
 
     def test_gamma_one_skips_capping(self):
-        cap = compute_cap(log_weights(100, 1, 1), 1.0, plays=2, n_arms=3)
-        assert cap.log_v is None
-        p = compute_probabilities(cap, 1.0, 2)
+        p, capped = probabilities(log_weights(100, 1, 1), 1.0, plays=2)
+        assert capped == []
         assert np.allclose(p, 2.0 / 3.0)
 
     def test_gamma_out_of_range(self):
-        with pytest.raises(ValueError):
-            compute_cap(log_weights(1, 1), 0.0, plays=1, n_arms=2)
-        with pytest.raises(ValueError):
-            compute_cap(log_weights(1, 1), 1.2, plays=1, n_arms=2)
+        cfg = BanditConfig(n_arms=2, plays=1, budget=4.0, c_min=0.5)
+        env = AdversarialEnv(rewards=np.full((10, 2), 0.5), costs=np.full((10, 2), 0.5))
+        for gamma in (0.0, 1.2):
+            with pytest.raises(ConfigError):
+                play_lockstep(Variant.MB, cfg, env, [episode_rng(1, 1)], gamma=gamma)
 
     def test_defining_ratio_holds(self):
         rng = episode_rng(123, 1)
@@ -54,22 +80,26 @@ class TestComputeCap:
             k = int(rng.integers(1, n))
             gamma = float(rng.uniform(0.01, 0.99))
             lw = rng.normal(0.0, 5.0, n)
-            cap = compute_cap(lw, gamma, k, n)
-            if cap.log_v is None:
+            p, capped = probabilities(lw, gamma, k)
+            if not capped:
                 continue
+            mask = capped_mask(n, capped)
+            # the ratio: every capped arm at p = 1, and nothing clipped off the sum
+            assert np.all(np.abs(p[mask] - 1.0) <= 1e-9)
+            assert p.sum() == pytest.approx(k, abs=1e-9)
+            # separation: uncapped arms below p = 1, and the capped arms'
+            # own weights at or above it on the same map (its total read off
+            # the heaviest uncapped arm j: w_j / total = (p_j / K - gamma / N) / (1 - gamma))
+            assert np.all(p[~mask] < 1.0)
             w = np.exp(lw - lw.max())
-            v = np.exp(cap.log_v - lw.max())
-            eff = np.minimum(w, v)
-            assert v / eff.sum() == pytest.approx(cap_ratio(gamma, k, n), rel=1e-9)
-            # separation: capped arms at or above v, others strictly below
-            mask = np.zeros(n, dtype=bool)
-            mask[cap.capped] = True
-            assert np.all(w[mask] >= v * (1 - 1e-12))
-            assert np.all(w[~mask] < v)
+            j = np.flatnonzero(~mask)[np.argmax(w[~mask])]
+            total = w[j] * (1.0 - gamma) / (p[j] / k - gamma / n)
+            own = k * ((1.0 - gamma) * w[mask] / total + gamma / n)
+            assert np.all(own >= 1.0 - 1e-9)
 
     def test_cap_fixpoint(self):
-        # re-deriving v on the effective weights with the capped set forced
-        # reproduces the same v_t
+        # re-deriving v on the weights with the capped set forced reproduces
+        # the probabilities of the uncapped arms
         rng = episode_rng(321, 1)
         seen = 0
         for _ in range(100):
@@ -77,36 +107,35 @@ class TestComputeCap:
             k = int(rng.integers(2, n))
             gamma = float(rng.uniform(0.05, 0.9))
             lw = rng.normal(0.0, 4.0, n)
-            cap = compute_cap(lw, gamma, k, n)
-            if cap.log_v is None:
+            p, capped = probabilities(lw, gamma, k)
+            if not capped:
                 continue
             seen += 1
-            shift = cap.log_effective.max()
-            eff = np.exp(cap.log_effective - shift)
-            mask = np.zeros(n, dtype=bool)
-            mask[cap.capped] = True
+            w = np.exp(lw - lw.max())
+            mask = capped_mask(n, capped)
             ratio = cap_ratio(gamma, k, n)
-            forced_v = ratio * eff[~mask].sum() / (1.0 - ratio * cap.capped.size)
-            assert np.log(forced_v) + shift == pytest.approx(cap.log_v, abs=1e-9)
+            forced_v = ratio * w[~mask].sum() / (1.0 - ratio * len(capped))
+            total = w[~mask].sum() + len(capped) * forced_v
+            expected = k * ((1.0 - gamma) * w[~mask] / total + gamma / n)
+            assert np.all(np.abs(p[~mask] - expected) <= 1e-9)
         assert seen > 10
 
 
 class TestComputeProbabilities:
+    """The engine's probability map (exp3._probabilities) on one-row states."""
+
     def test_uniform_hand_value(self):
-        cap = compute_cap(log_weights(1, 1, 1, 1), 0.5, plays=2, n_arms=4)
-        p = compute_probabilities(cap, 0.5, 2)
+        p, _ = probabilities(log_weights(1, 1, 1, 1), 0.5, plays=2)
         # 2 * (0.5 * 0.25 + 0.5/4) = 0.5 each
         assert np.allclose(p, 0.5, atol=1e-12)
         assert p.sum() == pytest.approx(2.0, abs=1e-9)
 
     def test_capped_arm_gets_probability_one(self):
-        cap = compute_cap(log_weights(10, 1, 1), 1e-12, plays=2, n_arms=3)
-        p = compute_probabilities(cap, 1e-12, 2)
+        p, _ = probabilities(log_weights(10, 1, 1), 1e-12, plays=2)
         assert p[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_exploration_only_limit(self):
-        cap = compute_cap(log_weights(9, 2, 5, 1), 1.0, plays=3, n_arms=4)
-        p = compute_probabilities(cap, 1.0, 3)
+        p, _ = probabilities(log_weights(9, 2, 5, 1), 1.0, plays=3)
         assert np.allclose(p, 0.75)
 
     def test_normalization_over_random_states(self):
@@ -116,28 +145,26 @@ class TestComputeProbabilities:
             k = int(rng.integers(1, n + 1))
             gamma = float(rng.uniform(0.01, 1.0))
             lw = rng.normal(0.0, 6.0, n)
-            cap = compute_cap(lw, gamma, k, n)
-            p = compute_probabilities(cap, gamma, k)
+            p, capped = probabilities(lw, gamma, k)
             assert p.sum() == pytest.approx(k, abs=1e-9)
             assert np.all(p >= 0.0) and np.all(p <= 1.0)
             assert np.all(p >= k * gamma / n - 1e-12)  # probability floor
-            if cap.capped.size:
-                assert np.allclose(p[cap.capped], 1.0, atol=1e-9)
+            if capped:
+                assert np.allclose(p[capped], 1.0, atol=1e-9)
 
 
 class TestDependentRounding:
     def test_integral_vector_is_deterministic(self):
         rng = episode_rng(1, 1)
         for _ in range(10):
-            arms = dependent_rounding(2, np.array([1.0, 0.0, 1.0]), rng)
-            assert arms.tolist() == [0, 2]
+            assert dependent_rounding(2, [1.0, 0.0, 1.0], rng.random) == [0, 2]
 
     def test_rejects_bad_simplex(self):
         rng = episode_rng(1, 2)
         with pytest.raises(ValueError):
-            dependent_rounding(2, np.array([0.5, 0.5, 0.5]), rng)
+            dependent_rounding(2, [0.5, 0.5, 0.5], rng.random)
         with pytest.raises(ValueError):
-            dependent_rounding(1, np.array([1.5, -0.5]), rng)
+            dependent_rounding(1, [1.5, -0.5], rng.random)
 
     def test_forced_arm_and_half_marginals(self):
         rng = episode_rng(77, 1)
@@ -167,8 +194,8 @@ class TestDependentRounding:
                 p[over] = 1.0
                 room = ~over
                 p[room] += excess * (1.0 - p[room]) / max((1.0 - p[room]).sum(), 1e-12)
-            arms = dependent_rounding(k, p, rng)
-            assert arms.shape == (k,)
+            arms = dependent_rounding(k, p.tolist(), rng.random)
+            assert len(arms) == k
             assert np.unique(arms).size == k
 
     def test_single_draw_matches_batch_kernel_bitwise(self):
@@ -184,7 +211,7 @@ class TestDependentRounding:
             if p[0] < 0 or p[0] > 1:
                 continue
             seed = int(rng.integers(1 << 30))
-            a = dependent_rounding(k, p, episode_rng(seed, 5))
+            a = dependent_rounding(k, p.tolist(), episode_rng(seed, 5).random)
             b = _pairwise_round(p[None, :], k, episode_rng(seed, 5))[0]
             assert np.array_equal(a, b)
 
