@@ -6,7 +6,6 @@ logarithms are used throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -16,7 +15,6 @@ import numpy as np
 from .core import AdversarialEnv, StochasticEnv, default_t_max
 
 E = math.e
-ENUMERATION_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -67,23 +65,14 @@ def top_k_indices(values: np.ndarray, k: int) -> tuple[int, ...]:
 def bang_per_buck_gaps(env: StochasticEnv, plays: int) -> tuple[float, float]:
     """(delta_min, delta_max) over all K-subsets of the bang-per-buck sums.
 
-    Enumerates every subset while N choose K stays at or below 10^6. Beyond
-    that the subset sums are separable, so the minimal gap is the single-swap
-    gap between the K-th and (K+1)-th sorted ratio and the maximal gap is
-    top-K minus bottom-K.
+    The subset sums are separable, so with the ratios sorted in descending
+    order s, the minimal gap is the single swap s[K-1] - s[K] and the maximal
+    gap is top-K minus bottom-K. Tied ratios give a gap of exactly 0, which
+    differences of subset sums would leave at rounding noise.
     """
-    ratios = env.ratios
-    n = env.n_arms
-    if plays == n:
+    if plays == env.n_arms:
         raise ValueError("gaps undefined for K = N (only one subset)")
-    if math.comb(n, plays) <= ENUMERATION_LIMIT:
-        sums = sorted(
-            (float(ratios[list(a)].sum()) for a in itertools.combinations(range(n), plays)),
-            reverse=True,
-        )
-        best = sums[0]
-        return best - sums[1], best - sums[-1]
-    s = np.sort(ratios)[::-1]
+    s = np.sort(env.ratios)[::-1]
     top = float(s[:plays].sum())
     return float(s[plays - 1] - s[plays]), top - float(s[-plays:].sum())
 

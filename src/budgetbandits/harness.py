@@ -77,6 +77,7 @@ _OWN_BOUND = {"ucb_mb": "thm1", "exp3_mb": "thm2", "exp3_1_mb": "prop1",
 _HIGH_PROBABILITY = ("exp3_pm", "exp3_pmb")
 
 ENV_STREAM = 0  # replication i uses stream i + 1
+ENUMERATION_LIMIT = 10 ** 6  # subsets the exact oracle enumerates at most
 
 # float64 cells per work buffer of the exact oracle and of the checkpoint
 # kernel: a block holds _BLOCK_CELLS // (T + 1) subsets or budgets, whatever
@@ -301,7 +302,7 @@ def oracle_gain_adversarial(env: AdversarialEnv, cfg: BanditConfig,
         return a, simulate_fixed_subset(env, a, cfg.budget)
     if mode != "exact":
         raise ConfigError(f"unknown oracle mode {mode!r}")
-    if math.comb(n, k) > bounds_mod.ENUMERATION_LIMIT:
+    if math.comb(n, k) > ENUMERATION_LIMIT:
         raise ConfigError(
             "N choose K exceeds the exact-oracle limit (10^6); use greedy mode")
     return _best_subset(env, itertools.combinations(range(n), k), math.comb(n, k), k,
@@ -409,7 +410,7 @@ def _oracle_for(spec: RunSpec, env: Union[StochasticEnv, AdversarialEnv],
     if spec.policy.name == "exp3_pm":
         a, gain = oracle_gain_fixed_horizon(env, cfg.horizon, cfg.plays)
         return a, gain, "exact_horizon", None
-    mode = "exact" if math.comb(cfg.n_arms, cfg.plays) <= bounds_mod.ENUMERATION_LIMIT else "greedy"
+    mode = "exact" if math.comb(cfg.n_arms, cfg.plays) <= ENUMERATION_LIMIT else "greedy"
     a, gain = oracle_gain_adversarial(env, cfg, mode=mode)
     return a, gain, mode, None
 

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -191,6 +192,7 @@ class TestGaps:
         assert d_max == pytest.approx(3.3 - 1.8)
 
     def test_enumeration_matches_sorted_shortcut(self):
+        # the closed form against the gaps between all K-subset sums
         rng = episode_rng(61, 1)
         for _ in range(30):
             n = int(rng.integers(3, 9))
@@ -199,9 +201,19 @@ class TestGaps:
             mr = rng.uniform(0.05, 1.0, n)
             env = StochasticEnv(mean_rewards=mr, mean_costs=mc, c_min=0.5)
             d_min, d_max = bang_per_buck_gaps(env, k)
-            s = np.sort(env.ratios)[::-1]
-            assert d_min == pytest.approx(float(s[k - 1] - s[k]), rel=1e-9)
-            assert d_max == pytest.approx(float(s[:k].sum() - s[-k:].sum()), rel=1e-9)
+            sums = sorted((float(env.ratios[list(a)].sum()) for a in combinations(range(n), k)),
+                          reverse=True)
+            assert d_min == pytest.approx(sums[0] - sums[1], rel=1e-9)
+            assert d_max == pytest.approx(sums[0] - sums[-1], rel=1e-9)
+
+    def test_tied_ratios_give_zero_gap(self):
+        # arms 1 and 3 tie for the K-th ratio: two subsets are optimal, and
+        # their sums differ by rounding
+        env = StochasticEnv(mean_rewards=[0.595, 0.125, 0.778, 0.125],
+                            mean_costs=[0.665, 0.894, 0.652, 0.894], c_min=0.5)
+        assert bang_per_buck_gaps(env, 3)[0] == 0.0
+        with pytest.raises(ValueError, match="delta_min"):
+            StochasticBoundParams.from_env(env, 3)
 
     def test_from_env_fills_opt_sums(self):
         env = StochasticEnv(mean_rewards=[0.9, 0.9, 0.7, 0.6],

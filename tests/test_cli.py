@@ -194,9 +194,9 @@ class TestRun:
         assert main(["run", "--config", "/nonexistent/nope.json"]) == 2
 
 
-def stochastic_doc(mean_rewards=(0.9, 0.8, 0.5, 0.4)):
+def stochastic_doc(mean_rewards=(0.9, 0.8, 0.5, 0.4), mean_costs=(0.6,) * 4):
     return {"type": "stochastic", "family": "bernoulli_scaled",
-            "mean_rewards": list(mean_rewards), "mean_costs": [0.6] * 4, "c_min": 0.5}
+            "mean_rewards": list(mean_rewards), "mean_costs": list(mean_costs), "c_min": 0.5}
 
 
 BOUND_POLICIES = {
@@ -310,11 +310,19 @@ class TestBounds:
             assert bounds == report["bound_values"]
 
     @pytest.mark.parametrize("case", ["zero_gap", "above_ten_thousand_subsets",
-                                      "single_arm_exp3_pm", "single_arm_exp3_pmb"])
+                                      "single_arm_exp3_pm", "single_arm_exp3_pmb",
+                                      "tied_ratios_at_k"])
     def test_bounds_equal_run_bound_values_at_the_edges(self, tmp_path, capsys, case):
         if case == "zero_gap":
             # every ratio equal: Thm 1 needs a positive gap and is omitted
             doc = bounds_doc("ucb_mb", stochastic_doc(mean_rewards=[0.6] * 4))
+        elif case == "tied_ratios_at_k":
+            # arms 1 and 3 tie for the K-th ratio, so two optimal subsets
+            # exist and Thm 1 is omitted; their sums differ by rounding
+            doc = bounds_doc("ucb_mb", stochastic_doc(
+                mean_rewards=[0.595, 0.125, 0.778, 0.125],
+                mean_costs=[0.665, 0.894, 0.652, 0.894]))
+            doc["config"]["plays"] = 3
         elif case == "above_ten_thousand_subsets":
             # C(16, 7) = 11440 subsets, exp3_mb given gamma: thm2 takes the oracle gain
             doc = bounds_doc("exp3_mb", adversarial_doc(episode_rng(3, 2), t_max=4, n=16))
@@ -327,6 +335,7 @@ class TestBounds:
         assert bounds_code == run_code == 0
         assert bounds == report["bound_values"]
         assert ("thm2" in bounds) == (case == "above_ten_thousand_subsets")
+        assert "thm1" not in bounds
 
     @pytest.mark.parametrize("breakage", ["ucb_on_adversarial", "arm_count_mismatch",
                                           "sequence_one_round_short"])
