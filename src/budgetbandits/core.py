@@ -16,6 +16,7 @@ rewards and one for the costs.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -325,20 +326,37 @@ def env_to_dict(env: StochasticEnv | AdversarialEnv) -> dict:
     raise TypeError(f"not an environment: {type(env)!r}")
 
 
+def _real(value, name: str) -> float:
+    """A config real as a float: an integer or a float, not a bool; anything
+    else, a numeric string included, is a ConfigError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _reals(value, name: str) -> np.ndarray:
+    """A config vector or matrix as float64: integer or float entries only,
+    so bools and strings are a ConfigError."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must hold numbers, got {a.dtype} entries")
+    return a.astype(np.float64, copy=False)
+
+
 def env_from_dict(doc: dict) -> StochasticEnv | AdversarialEnv:
     """Inverse of :func:`env_to_dict`."""
     kind = doc.get("type")
     if kind == "stochastic":
         return StochasticEnv(
-            mean_rewards=np.asarray(doc["mean_rewards"], dtype=np.float64),
-            mean_costs=np.asarray(doc["mean_costs"], dtype=np.float64),
-            c_min=float(doc["c_min"]),
+            mean_rewards=_reals(doc["mean_rewards"], "mean_rewards"),
+            mean_costs=_reals(doc["mean_costs"], "mean_costs"),
+            c_min=_real(doc["c_min"], "c_min"),
             family=Family(doc.get("family", Family.BERNOULLI_SCALED.value)),
-            beta_concentration=float(doc.get("beta_concentration", 4.0)),
+            beta_concentration=_real(doc.get("beta_concentration", 4.0), "beta_concentration"),
         )
     if kind == "adversarial":
         return AdversarialEnv(
-            rewards=np.asarray(doc["rewards"], dtype=np.float64),
-            costs=np.asarray(doc["costs"], dtype=np.float64),
+            rewards=_reals(doc["rewards"], "rewards"),
+            costs=_reals(doc["costs"], "costs"),
         )
     raise ConfigError(f"unknown environment type: {kind!r}")

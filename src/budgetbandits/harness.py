@@ -57,6 +57,7 @@ from .core import (
     ConfigError,
     EpisodeTrace,
     StochasticEnv,
+    _real,
     default_t_max,
     env_from_dict,
     env_to_dict,
@@ -104,11 +105,11 @@ class PolicySpec:
         elif (self.gamma is None) == (self.g is None):
             raise ConfigError("exp3_mb needs exactly one of gamma or g")
         elif self.gamma is not None:
-            # written so that NaN fails
-            if not (_real(self.gamma) and 0.0 < self.gamma <= 1.0):
+            gamma = _real(self.gamma, "gamma")
+            if not 0.0 < gamma <= 1.0:  # written so that NaN fails
                 raise ConfigError(f"gamma must be a number in (0, 1], got {self.gamma!r}")
-            object.__setattr__(self, "gamma", float(self.gamma))
-        elif self.g != "oracle" and not (_real(self.g) and 0.0 < self.g < math.inf):
+            object.__setattr__(self, "gamma", gamma)
+        elif self.g != "oracle" and not 0.0 < _real(self.g, "g") < math.inf:
             raise ConfigError(f"g must be 'oracle' or a finite number > 0, got {self.g!r}")
 
 
@@ -661,10 +662,6 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _seed(value) -> int:
     """A base seed: read by _integer and at least 0."""
     seed = _integer(value, "base_seed")
@@ -691,7 +688,7 @@ def _eps(value) -> Optional[float]:
     alike); None if unset, which tunes it."""
     if value is None:
         return None
-    eps = float(value)
+    eps = _real(value, "eps")
     if not 0.0 <= eps <= 0.25:  # written so that NaN fails
         raise ConfigError(f"eps must lie in [0, 1/4], got {eps!r}")
     return eps
@@ -705,7 +702,7 @@ def lower_bound_env_from_dict(doc: dict,
         seed = _seed(doc.get("base_seed", 0) if seed is None else seed)
         cfg = validate_config(BanditConfig(
             n_arms=_integer(doc["n_arms"], "n_arms"), plays=_integer(doc["plays"], "plays"),
-            budget=float(doc["budget"]), c_min=float(doc["c_min"])))
+            budget=_real(doc["budget"], "budget"), c_min=_real(doc["c_min"], "c_min")))
         good = _good_set(doc.get("good_set"), cfg.n_arms, cfg.plays)
         eps = _eps(doc.get("eps"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -726,9 +723,9 @@ def run_spec_from_dict(doc: dict) -> RunSpec:
         cfg = BanditConfig(
             n_arms=_integer(cfg_doc["n_arms"], "n_arms"),
             plays=_integer(cfg_doc["plays"], "plays"),
-            budget=float(cfg_doc["budget"]),
-            c_min=float(cfg_doc["c_min"]),
-            confidence=float(cfg_doc.get("confidence", 0.1)),
+            budget=_real(cfg_doc["budget"], "budget"),
+            c_min=_real(cfg_doc["c_min"], "c_min"),
+            confidence=_real(cfg_doc.get("confidence", 0.1), "confidence"),
             horizon=_integer(horizon, "horizon") if horizon is not None else None,
         )
         pol_doc = doc["policy"]

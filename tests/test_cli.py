@@ -40,6 +40,8 @@ LOWER_BOUND_BREAKAGES = {
     "eps_out_of_range": {"eps": 0.9},
     "nan_eps": {"eps": float("nan")},
     "string_eps": {"eps": "abc"},
+    "bool_eps": {"eps": False},
+    "numeric_string_eps": {"eps": "0.1"},
 }
 
 # exp3_mb policy keys that run, bounds and sweep refuse
@@ -103,12 +105,14 @@ class TestRun:
         "bool_plays", "fractional_horizon", "fractional_seed", "string_replications",
         "fractional_good_set", "good_set_arm_out_of_range", "good_set_too_large",
         "good_set_repeated_arm", "eps_out_of_range", "nan_eps", "string_eps",
-        *POLICY_BREAKAGES,
+        *POLICY_BREAKAGES, "bool_budget", "string_c_min", "string_env_c_min",
+        "string_mean_rewards", "string_beta_concentration", "bool_eps", "numeric_string_eps",
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
         doc = run_doc(episode_rng(1, 1))
         env = doc["environment"]
-        if breakage in ("nan_mean", "gamma_on_ucb"):
+        if breakage in ("nan_mean", "gamma_on_ucb", "string_env_c_min", "string_mean_rewards",
+                        "string_beta_concentration"):
             doc["policy"] = {"name": "ucb_mb"}
             doc["environment"] = {"type": "stochastic", "mean_rewards": [0.9, 0.8, 0.5, 0.4],
                                   "mean_costs": [0.6] * 4, "c_min": 0.5}
@@ -122,6 +126,16 @@ class TestRun:
             env["rewards"][3][1] = -float("inf")
         elif breakage == "inf_budget":
             doc["config"]["budget"] = float("inf")
+        elif breakage == "bool_budget":
+            doc["config"]["budget"] = True
+        elif breakage == "string_c_min":
+            doc["config"]["c_min"] = "0.5"
+        elif breakage == "string_env_c_min":
+            doc["environment"]["c_min"] = "0.5"
+        elif breakage == "string_mean_rewards":
+            doc["environment"]["mean_rewards"] = ["0.9", "0.8", "0.5", "0.4"]
+        elif breakage == "string_beta_concentration":
+            doc["environment"].update(family="beta_scaled", beta_concentration="4")
         elif breakage == "zero_oracle_gain":
             # 3 arms and K c_min = 1 above B: no subset affords a round, so the
             # oracle gain that tunes gamma is 0
@@ -154,6 +168,19 @@ class TestRun:
         cfg = write_json(tmp_path / "bad.json", doc)
         assert main(["run", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_integer_reals_accepted(self, tmp_path):
+        # JSON integers are reals: budget 10 runs as 10.0, a reward 1 as 1.0
+        doc = run_doc(episode_rng(1, 1))
+        doc["environment"]["rewards"][0] = [1.0, 0.0, 1.0, 0.0]
+        floats = write_json(tmp_path / "floats.json", doc)
+        doc["config"]["budget"] = 10
+        doc["environment"]["rewards"][0] = [1, 0, 1, 0]
+        integers = write_json(tmp_path / "integers.json", doc)
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["run", "--config", floats, "--out", str(out1)]) == 0
+        assert main(["run", "--config", integers, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("breakage", ["good_set_arm_out_of_range", "good_set_too_large"])
     def test_bad_good_set_exits_2_in_bounds_and_sweep(self, tmp_path, capsys, breakage):
@@ -407,7 +434,7 @@ class TestLbenv:
     @pytest.mark.parametrize("breakage", [
         "fractional_n_arms", "bool_plays", "negative_seed", "fractional_good_set",
         "negative_seed_flag", "plays_above_n_arms", "inf_budget", "c_min_one",
-        *LOWER_BOUND_BREAKAGES,
+        *LOWER_BOUND_BREAKAGES, "bool_budget", "string_c_min",
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
         doc = {"n_arms": 4, "plays": 2, "budget": 20.0, "c_min": 0.5, "base_seed": 3}
@@ -426,6 +453,10 @@ class TestLbenv:
             doc["budget"] = float("inf")
         elif breakage == "c_min_one":
             doc["c_min"] = 1.0
+        elif breakage == "bool_budget":
+            doc["budget"] = True
+        elif breakage == "string_c_min":
+            doc["c_min"] = "0.5"
         elif breakage in LOWER_BOUND_BREAKAGES:
             doc.update(LOWER_BOUND_BREAKAGES[breakage])
         else:
