@@ -107,14 +107,15 @@ def ucb_select(state: UcbState) -> list[int]:
 
 
 def ucb_update(state: UcbState, arms: Sequence[int], rewards: Sequence[float],
-               costs: Sequence[float], t_next: int,
-               rng: Optional[np.random.Generator] = None) -> None:
+               costs: Sequence[float], t_next: int) -> None:
     """Fold one round's played arms and observations into the state, in place.
 
     Running means move only for played arms; exploration is recomputed for all
     arms at ``t_next``. When an oracle arm set is attached and this round was
     suboptimal, the played arm with the smallest counter is incremented, ties
-    broken uniformly at random from the episode's stream.
+    to the lowest index: Thm 1's counting argument needs only that the arm
+    incremented has the smallest counter among those played, and no decision
+    reads the counters, so they draw nothing from the episode's stream.
     """
     pulls, mean_r, mean_c = state.pull_counts, state.mean_reward, state.mean_cost
     for j, r, c in zip(arms, rewards, costs):
@@ -127,15 +128,7 @@ def ucb_update(state: UcbState, arms: Sequence[int], rewards: Sequence[float],
     state.exploration = [exploration_term(n, t_next, plays, c_min) for n in pulls]
     if state.oracle_arms is not None and set(arms) != set(state.oracle_arms):
         counters = state.suboptimal_counters
-        least = min(counters[j] for j in arms)
-        lowest = [j for j in arms if counters[j] == least]
-        if len(lowest) == 1:
-            j = lowest[0]
-        else:
-            if rng is None:
-                raise ValueError("rng required to break counter ties")
-            j = lowest[rng.integers(len(lowest))]
-        counters[j] += 1
+        counters[min(arms, key=lambda j: (counters[j], j))] += 1
 
 
 def ucb_run_episode(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Generator,
@@ -146,9 +139,9 @@ def ucb_run_episode(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Genera
     Loop: select the K best arms, observe, terminate if the round's cost
     exceeds the remaining budget (without crediting that round), otherwise pay,
     credit, and update. The all-arms initialization is round 1 and is charged
-    identically. Attaching ``oracle_arms`` keeps the suboptimal-play counters,
-    whose tie-break draws from ``rng``: the episode then differs from one
-    without them.
+    identically. Attaching ``oracle_arms`` keeps the suboptimal-play
+    counters and changes nothing else: the episode and the generator's end
+    state are those of the episode without them.
     """
     validate_config(cfg)
     if env.n_arms != cfg.n_arms:
@@ -166,7 +159,7 @@ def ucb_run_episode(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Genera
         if trace.stopping_time:
             return trace
         if t > 1:
-            ucb_update(state, arms, rewards, costs, t + 1, rng)
+            ucb_update(state, arms, rewards, costs, t + 1)
         t += 1
         arms = tuple(ucb_select(state))
         rewards, costs = draw_round(env, arms, rng)

@@ -17,6 +17,13 @@ from budgetbandits.core import draw_round, sum_in_order
 from budgetbandits.ucb import UcbState
 
 
+def same_state(a, b):
+    """Two bit_generator.state dicts are equal, arrays included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
 def make_state(means_r, means_c, pulls, t, plays=2, c_min=0.5, exploration=None, oracle=None):
     n = len(means_r)
     return UcbState(
@@ -104,15 +111,22 @@ class TestUpdate:
 
     def test_optimal_round_does_not_count(self):
         state = make_state([0.5, 0.4], [0.6, 0.6], [1, 1], t=2, plays=1, oracle=(0,))
-        ucb_update(state, (0,), [1.0], [0.5], 3, episode_rng(0, 1))
+        ucb_update(state, (0,), [1.0], [0.5], 3)
         assert sum(state.suboptimal_counters) == 0
 
     def test_suboptimal_round_increments_smallest(self):
         state = make_state([0.5, 0.4, 0.3], [0.6, 0.6, 0.6], [1, 1, 1], t=2,
                            plays=2, oracle=(0, 1))
         state.suboptimal_counters[:] = [0, 5, 3]
-        ucb_update(state, (1, 2), [1.0, 0.0], [0.5, 0.5], 3, episode_rng(0, 1))
+        ucb_update(state, (1, 2), [1.0, 0.0], [0.5, 0.5], 3)
         assert state.suboptimal_counters == [0, 5, 4]
+
+    def test_counter_ties_go_to_the_lowest_index(self):
+        state = make_state([0.5, 0.4, 0.3], [0.6, 0.6, 0.6], [1, 1, 1], t=2,
+                           plays=2, oracle=(1,))
+        state.suboptimal_counters[:] = [2, 0, 2]
+        ucb_update(state, (2, 0), [1.0, 0.0], [0.5, 0.5], 3)
+        assert state.suboptimal_counters == [3, 0, 2]
 
 
 class TestEpisode:
@@ -190,8 +204,22 @@ class TestEpisode:
             remaining -= cost
             if set(arms) != {0}:
                 suboptimal += 1
-            ucb_update(state, arms, rewards, costs, state.t + 1, rng)
+            ucb_update(state, arms, rewards, costs, state.t + 1)
         assert sum(state.suboptimal_counters) == suboptimal
+
+    def test_counters_change_nothing(self):
+        # the acceptance suite's ucb instance: the instrumented episode is the
+        # plain one, and the generators end in the same state
+        cfg = BanditConfig(n_arms=4, plays=2, budget=500.0, c_min=0.5)
+        env = StochasticEnv(mean_rewards=[0.9, 0.9, 0.7, 0.6],
+                            mean_costs=[0.5, 0.6, 0.7, 0.75], c_min=0.5)
+        plain_rng, counted_rng = episode_rng(1007, 1), episode_rng(1007, 1)
+        plain = ucb_run_episode(cfg, env, plain_rng)
+        counted = ucb_run_episode(cfg, env, counted_rng, oracle_arms=(0, 1))
+        assert (counted.gain, counted.stopping_time) == (plain.gain, plain.stopping_time)
+        assert counted.budget_spent == plain.budget_spent
+        assert [r.arms for r in counted.rounds] == [r.arms for r in plain.rounds]
+        assert same_state(counted_rng.bit_generator.state, plain_rng.bit_generator.state)
 
     def test_no_leakage_into_unplayed_arms(self):
         # an arm that is never played keeps its single-observation statistics
@@ -202,6 +230,6 @@ class TestEpisode:
         frozen_mean = float(state.mean_reward[1])
         for _ in range(10):
             rewards, costs = draw_round(env, [0], rng)
-            ucb_update(state, [0], rewards, costs, state.t + 1, rng)
+            ucb_update(state, [0], rewards, costs, state.t + 1)
         assert state.mean_reward[1] == frozen_mean
         assert state.pull_counts[1] == 1

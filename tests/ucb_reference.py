@@ -3,9 +3,9 @@
 One round at a time on numpy vectors: the bang-per-buck scores plus the
 exploration vector, a lexsort for the K best arms, rewards and costs drawn by
 two rng.random(K) calls (or two rng.beta calls), fancy-indexed running means
-and the suboptimal-play counters' tie-break draw. This is the loop ucb_mb
-ran before it played on plain floats; tests/test_ucb_engine.py checks that
-the package reproduces it bit for bit. It keeps its own copies of the draw,
+and the suboptimal-play counters, ties to the lowest index. This is the loop
+ucb_mb ran before it played on plain floats; tests/test_ucb_engine.py checks
+that the package reproduces it bit for bit. It keeps its own copies of the draw,
 the exploration term and the termination rule, and reads only the
 environment's public fields.
 """
@@ -71,7 +71,7 @@ def _sum(values):
 
 def reference_episode(cfg, env, rng, oracle_arms=None, record=True):
     """One ucb_mb episode, as the array loop plays it; with ``oracle_arms``
-    the suboptimal-play counters are kept and break their ties from ``rng``."""
+    the suboptimal-play counters are kept, ties to the lowest index."""
     n, k, c_min = cfg.n_arms, cfg.plays, cfg.c_min
     trace = EpisodeTrace(0.0, 0, 0.0)
     arms = tuple(range(n))
@@ -100,9 +100,7 @@ def reference_episode(cfg, env, rng, oracle_arms=None, record=True):
                                          k, c_min)
             if oracle_arms is not None and set(arms) != set(oracle_arms):
                 a = np.asarray(arms, dtype=np.intp)
-                lowest = a[counters[a] == counters[a].min()]
-                j = int(lowest[0]) if lowest.size == 1 else int(lowest[rng.integers(lowest.size)])
-                counters[j] += 1
+                counters[int(a[counters[a] == counters[a].min()].min())] += 1
         t += 1
         scores = mean_r / mean_c + exploration
         order = np.lexsort((np.arange(n), -scores))
