@@ -1,15 +1,18 @@
-"""Every module of the package reads every name it imports.
+"""Every module of the package, and every frozen test reference, reads every
+name it imports.
 
-No linter runs on this code, so a deletion can leave an import behind. This
+No linter runs on this code, so a deletion can leave an import behind, and
+code moved into a reference can carry imports it no longer reads. This
 parses each module under src/budgetbandits (except __init__, which imports
-names to export them) and lists the imported names that no expression in the
-module reads.
+names to export them) and each tests/*_reference.py, and lists the imported
+names that no expression in the module reads.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "budgetbandits"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "budgetbandits"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,7 +31,9 @@ def test_no_unused_imports():
     # the check itself: a stale import is caught, a read one is not
     assert unused_imports("import math\nimport numpy as np\nfrom typing import Optional\n"
                           "x: Optional[int] = np.e\n") == ["math"]
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    references = sorted(TESTS.glob("*_reference.py"))
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
-              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
-    assert len(unused) >= 8
+              for path in modules + references}
+    assert len(modules) >= 8 and len(references) >= 4
     assert {name: names for name, names in unused.items() if names} == {}
