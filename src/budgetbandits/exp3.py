@@ -51,9 +51,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import accumulate
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Container, Optional, Sequence
 
 import numpy as np
@@ -183,7 +183,8 @@ def _cap(s: Exp3State, w: list[float]) -> tuple[list[float], float, frozenset[in
         capped, log_v = range(n), min(lw)
     else:
         ratio = s.ratio
-        order = sorted(range(n), key=w.__getitem__, reverse=True)  # stable
+        # a stable sort: equal weights stay in index order
+        order = sorted(range(n), key=w.__getitem__, reverse=True)
         ws = [w[i] for i in order]
         below = list(accumulate(reversed(ws)))[::-1]  # below[k]: the sum of ws[k:]
         for k in range(1, n):
