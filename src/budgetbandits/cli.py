@@ -7,9 +7,10 @@ Subcommands:
   lbenv  -- materialize a lower-bound adversarial instance as JSON
   sweep  -- regret-versus-budget table as CSV
 
-All commands read a JSON config (--config), accept --seed to override the
-base seed, exit 0 on success and 2 on a configuration error. JSON reals carry
-17 significant digits; CSV reals carry 6.
+All commands read a JSON object from --config, whose base_seed a given
+--seed replaces, and exit 0 on success and 2 on a configuration error, a
+config that is not a JSON object included. JSON reals carry 17 significant
+digits; CSV reals carry 6.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from . import serialize
-from .core import ConfigError, env_to_dict
+from .core import ConfigError, _object, env_to_dict
 from .harness import (
-    RunSpec,
     applicable_bounds,
     lower_bound_env_from_dict,
     prepare,
@@ -33,12 +32,16 @@ from .harness import (
 )
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, seed: Optional[int]) -> dict:
+    """The JSON object in ``path``; a given ``seed`` replaces its base_seed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = _object(json.load(fh), f"config {path}")
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if seed is not None:
+        doc["base_seed"] = seed
+    return doc
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -47,13 +50,6 @@ def _emit(text: str, out: Optional[str]) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-
-
-def _spec_with_seed(doc: dict, seed: Optional[int]) -> RunSpec:
-    spec = run_spec_from_dict(doc)
-    if seed is not None:
-        spec = replace(spec, base_seed=seed)
-    return spec
 
 
 def _fmt6(x) -> str:
@@ -65,7 +61,7 @@ def _fmt6(x) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _spec_with_seed(_load_config(args.config), args.seed)
+    spec = run_spec_from_dict(_load_config(args.config, args.seed))
     traces = [] if args.trace_csv else None
     report = run_replications(spec, record=args.trace_csv is not None, traces_out=traces)
     if args.trace_csv:
@@ -87,13 +83,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    spec = _spec_with_seed(_load_config(args.config), args.seed)
+    spec = run_spec_from_dict(_load_config(args.config, args.seed))
     _emit(serialize.dumps(applicable_bounds(spec, prepare(spec))), args.out)
     return 0
 
 
 def cmd_lbenv(args: argparse.Namespace) -> int:
-    env, eps = lower_bound_env_from_dict(_load_config(args.config), args.seed)
+    env, eps = lower_bound_env_from_dict(_load_config(args.config, args.seed))
     payload = env_to_dict(env)
     payload["eps"] = eps
     _emit(serialize.dumps(payload), args.out)
@@ -103,7 +99,7 @@ def cmd_lbenv(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .harness import sweep  # local import keeps startup light
 
-    spec = _spec_with_seed(_load_config(args.config), args.seed)
+    spec = run_spec_from_dict(_load_config(args.config, args.seed))
     try:
         budgets = [float(b) for b in args.budgets.split(",") if b.strip()]
     except ValueError as exc:

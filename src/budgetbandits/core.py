@@ -11,16 +11,23 @@ costs as float lists. A Bernoulli round takes its 2K uniforms from one
 generator call and compares them with per-arm probabilities that
 StochasticEnv computes once; a Beta round makes one rng.beta call for the
 rewards and one for the costs.
+
+The config types read and check their own fields when they are built:
+counts by _integer, reals by _real, mean vectors and matrices by _reals, so
+a bool, a string or an out-of-range value is a ConfigError in the library as
+in the CLI. env_from_dict, like the harness's dict readers, only routes keys.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +54,9 @@ class BanditConfig:
     c_min:      lower edge of the cost support, 0 < c_min < 1.
     confidence: failure probability for high-probability policies, 0 < delta < 1.
     horizon:    fixed round count T (only used by the fixed-horizon policy).
+
+    Counts are read by _integer and reals by _real, so a bool or a string is
+    a ConfigError, and so is any value validate_config refuses.
     """
 
     n_arms: int
@@ -55,6 +65,14 @@ class BanditConfig:
     c_min: float
     confidence: float = 0.1
     horizon: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        counts = ("n_arms", "plays") if self.horizon is None else ("n_arms", "plays", "horizon")
+        for name in counts:
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("budget", "c_min", "confidence"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        validate_config(self)
 
 
 def validate_config(cfg: BanditConfig) -> BanditConfig:
@@ -110,12 +128,14 @@ class StochasticEnv:
     _unit_cost_means: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mr = np.asarray(self.mean_rewards, dtype=np.float64)
-        mc = np.asarray(self.mean_costs, dtype=np.float64)
+        mr = _reals(self.mean_rewards, "mean_rewards")
+        mc = _reals(self.mean_costs, "mean_costs")
         object.__setattr__(self, "mean_rewards", mr)
         object.__setattr__(self, "mean_costs", mc)
-        object.__setattr__(self, "c_min", float(self.c_min))
+        object.__setattr__(self, "c_min", _real(self.c_min, "c_min"))
         object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "beta_concentration",
+                           _real(self.beta_concentration, "beta_concentration"))
         if mr.ndim != 1 or mc.shape != mr.shape:
             raise ConfigError("mean vectors must be 1-d and of equal length")
         if not 0.0 < self.c_min < 1.0:
@@ -155,8 +175,8 @@ class AdversarialEnv:
     costs: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.rewards, dtype=np.float64)
-        c = np.asarray(self.costs, dtype=np.float64)
+        r = _reals(self.rewards, "rewards")
+        c = _reals(self.costs, "costs")
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "costs", c)
         if r.ndim != 2 or r.shape != c.shape:
@@ -326,6 +346,18 @@ def env_to_dict(env: StochasticEnv | AdversarialEnv) -> dict:
     raise TypeError(f"not an environment: {type(env)!r}")
 
 
+def _integer(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int: an integer, or a float with an integral value
+    such as 4.0, and at least ``least`` if given; anything else, a bool
+    included, is a ConfigError."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}")
+    return int(value)
+
+
 def _real(value, name: str) -> float:
     """A config real as a float: an integer or a float, not a bool; anything
     else, a numeric string included, is a ConfigError."""
@@ -338,25 +370,45 @@ def _reals(value, name: str) -> np.ndarray:
     """A config vector or matrix as float64: integer or float entries only,
     so bools and strings are a ConfigError."""
     a = np.asarray(value)
-    if a.dtype.kind not in "iuf":
-        raise ConfigError(f"{name} must hold numbers, got {a.dtype} entries")
+    # an array's dtype tells; in lists numpy turns a bool beside numbers into
+    # a number, so their entries are looked at one by one
+    entries = () if isinstance(value, np.ndarray) else (value,)
+    for _ in range(a.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if a.dtype.kind not in "iuf" or not {bool, np.bool_}.isdisjoint(map(type, entries)):
+        raise ConfigError(f"{name} must hold integers or floats only")
     return a.astype(np.float64, copy=False)
 
 
+def _object(value, name: str) -> dict:
+    """A config section as a dict: a JSON array, string, number or null is a
+    ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+@contextmanager
+def _reading(what: str) -> Iterator[None]:
+    """Turn a KeyError, TypeError or ValueError raised while ``what`` is read
+    into a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def env_from_dict(doc: dict) -> StochasticEnv | AdversarialEnv:
-    """Inverse of :func:`env_to_dict`."""
-    kind = doc.get("type")
-    if kind == "stochastic":
-        return StochasticEnv(
-            mean_rewards=_reals(doc["mean_rewards"], "mean_rewards"),
-            mean_costs=_reals(doc["mean_costs"], "mean_costs"),
-            c_min=_real(doc["c_min"], "c_min"),
-            family=Family(doc.get("family", Family.BERNOULLI_SCALED.value)),
-            beta_concentration=_real(doc.get("beta_concentration", 4.0), "beta_concentration"),
-        )
-    if kind == "adversarial":
-        return AdversarialEnv(
-            rewards=_reals(doc["rewards"], "rewards"),
-            costs=_reals(doc["costs"], "costs"),
-        )
+    """Inverse of :func:`env_to_dict`; a fault in ``doc`` is a ConfigError."""
+    with _reading("environment"):
+        kind = _object(doc, "environment").get("type")
+        if kind == "stochastic":
+            return StochasticEnv(
+                mean_rewards=doc["mean_rewards"], mean_costs=doc["mean_costs"],
+                c_min=doc["c_min"], family=doc.get("family", Family.BERNOULLI_SCALED),
+                beta_concentration=doc.get("beta_concentration", 4.0))
+        if kind == "adversarial":
+            return AdversarialEnv(rewards=doc["rewards"], costs=doc["costs"])
     raise ConfigError(f"unknown environment type: {kind!r}")

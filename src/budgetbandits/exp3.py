@@ -68,7 +68,6 @@ from .core import (
     StochasticEnv,
     draw_round,
     sum_in_order,
-    validate_config,
 )
 from .sampling import BlockUniforms, dependent_rounding
 
@@ -301,7 +300,6 @@ def play_lockstep(variant: Variant, cfg: BanditConfig, env: StochasticEnv | Adve
     the module docstring). With ``record`` every round is kept as a
     RoundRecord.
     """
-    validate_config(cfg)
     n, k, rows = cfg.n_arms, cfg.plays, len(rngs)
     log_w, sigma, alpha, conf_scale = 0.0, 0.0, None, None
     if variant is Variant.MB:
@@ -430,7 +428,6 @@ def exp3pm_parameters(cfg: BanditConfig) -> HighProbParams:
 
     K = N degenerates to forced uniform play: alpha = 0, gamma = 1.
     """
-    validate_config(cfg)
     n, k, delta = cfg.n_arms, cfg.plays, cfg.confidence
     if cfg.horizon is None or cfg.horizon < 2:
         raise ConfigError("fixed-horizon variant needs horizon T >= 2")
@@ -457,7 +454,6 @@ def exp3pmb_parameters(cfg: BanditConfig) -> HighProbParams:
     w_i(1) = exp(alpha gamma K^2 sqrt(B/(N K c_min)) / 3),
     sigma_i(1) = K sqrt(NB/(K c_min)), increment sqrt(K c_min)/(p_i sqrt(NB)).
     """
-    validate_config(cfg)
     n, k, b, c, delta = cfg.n_arms, cfg.plays, cfg.budget, cfg.c_min, cfg.confidence
     if k == n:
         alpha, gamma = 0.0, 1.0

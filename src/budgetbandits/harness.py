@@ -36,7 +36,10 @@ read B (exp3_mb tuned by g, exp3_pmb) and lower-bound instances, whose eps and
 T_max follow B, rerun their replications for each budget.
 
 applicable_bounds decides which bounds apply, for run reports, the CLI's
-bounds command and sweeps alike.
+bounds command and sweeps alike. run_spec_from_dict and
+lower_bound_env_from_dict only route a config's keys to the types, which
+check them (see core), and one helper draws the lower-bound instance for
+materialize_environment and lbenv alike.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -57,13 +59,14 @@ from .core import (
     ConfigError,
     EpisodeTrace,
     StochasticEnv,
+    _integer,
+    _object,
     _real,
+    _reading,
     default_t_max,
     env_from_dict,
-    env_to_dict,
     episode_rng,
     sum_in_order,
-    validate_config,
 )
 from .exp3 import Variant, play_lockstep, tune_gamma_mb, warn_if_irrational
 from .ucb import ucb_run_episode
@@ -115,27 +118,36 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class LowerBoundSpec:
-    """Recipe for materializing a hard lower-bound instance at run time."""
+    """Recipe for materializing a hard lower-bound instance at run time: eps
+    in [0, 1/4] (0 makes every arm alike) or None to tune it to the config,
+    and the good arms, read by _integer, or None to draw them; that they are
+    K distinct arms in [0, N) is checked when the instance is drawn."""
 
-    eps: Optional[float] = None  # None tunes eps to the config
+    eps: Optional[float] = None
     good_set: Optional[tuple[int, ...]] = None
 
-
-Environment = Union[StochasticEnv, AdversarialEnv, LowerBoundSpec]
+    def __post_init__(self) -> None:
+        if self.eps is not None:
+            eps = _real(self.eps, "eps")
+            if not 0.0 <= eps <= 0.25:  # written so that NaN fails
+                raise ConfigError(f"eps must lie in [0, 1/4], got {eps!r}")
+            object.__setattr__(self, "eps", eps)
+        if self.good_set is not None:
+            good = tuple(_integer(a, "good_set entry") for a in self.good_set)
+            object.__setattr__(self, "good_set", good or None)
 
 
 @dataclass(frozen=True)
 class RunSpec:
     config: BanditConfig
     policy: PolicySpec
-    environment: Environment
+    environment: Union[StochasticEnv, AdversarialEnv, LowerBoundSpec]
     replications: int = 1
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        _seed(self.base_seed)
+        object.__setattr__(self, "replications", _integer(self.replications, "replications", 1))
+        object.__setattr__(self, "base_seed", _integer(self.base_seed, "base_seed", 0))
 
 
 @dataclass(frozen=True)
@@ -326,15 +338,26 @@ def oracle_gain_fixed_horizon(env: AdversarialEnv, horizon: int,
 
 def materialize_environment(spec: RunSpec) -> Union[StochasticEnv, AdversarialEnv]:
     """Resolve a LowerBoundSpec into a concrete instance (stream 0 of the seed)."""
-    env = spec.environment
-    if isinstance(env, LowerBoundSpec):
-        cfg = spec.config
-        eps = env.eps if env.eps is not None else bounds_mod.tuned_eps(
-            cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min)
-        return bounds_mod.make_lower_bound_env(
-            cfg.n_arms, cfg.plays, cfg.budget, cfg.c_min, eps,
-            episode_rng(spec.base_seed, ENV_STREAM), good_set=env.good_set)
-    return env
+    if isinstance(spec.environment, LowerBoundSpec):
+        return _lower_bound_instance(spec.config, spec.environment, spec.base_seed)[0]
+    return spec.environment
+
+
+def _lower_bound_instance(cfg: BanditConfig, spec: LowerBoundSpec,
+                          seed: int) -> tuple[AdversarialEnv, float]:
+    """The instance ``spec`` describes at ``cfg``, drawn from stream 0 of
+    ``seed``, and its eps; what run and lbenv both draw."""
+    good = spec.good_set
+    if good is not None and not (len(set(good)) == len(good) == cfg.plays
+                                 and all(0 <= a < cfg.n_arms for a in good)):
+        raise ConfigError(f"good_set must hold K={cfg.plays} distinct arms in "
+                          f"[0, {cfg.n_arms}), got {list(good)}")
+    eps = spec.eps if spec.eps is not None else bounds_mod.tuned_eps(
+        cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min)
+    rng = episode_rng(_integer(seed, "base_seed", 0), ENV_STREAM)
+    env = bounds_mod.make_lower_bound_env(cfg.n_arms, cfg.plays, cfg.budget, cfg.c_min, eps,
+                                          rng, good_set=good)
+    return env, eps
 
 
 def _validate_env(cfg: BanditConfig, env: Union[StochasticEnv, AdversarialEnv],
@@ -442,7 +465,7 @@ def applicable_bounds(spec: RunSpec, prep: Prepared) -> dict:
     gain below B - K, a single arm, ...) is simply omitted. Run reports
     attach this dict and the CLI's bounds command prints it.
     """
-    cfg = prep.cfg
+    cfg = spec.config
     name = spec.policy.name
     out: dict = {}
     if name == "ucb_mb" and cfg.plays < cfg.n_arms:
@@ -483,7 +506,6 @@ class Prepared:
     never read it. prepare's checks leave it no way to fail.
     """
 
-    cfg: BanditConfig
     env: Union[StochasticEnv, AdversarialEnv]
     gamma: Optional[float]
     g_used: Optional[float]
@@ -498,18 +520,24 @@ class Prepared:
 def prepare(spec: RunSpec) -> Prepared:
     """Check the spec, materialize its environment, and resolve its gamma.
 
-    Raises ConfigError on a bad config, an environment that does not fit it,
-    or a policy that cannot run on it. The oracle is left for its first
-    reader (Prepared.oracle) unless tuning gamma needs it.
+    Raises ConfigError on an environment that does not fit the config, or a
+    policy that cannot run on it. The oracle is left for its first reader
+    (Prepared.oracle) unless tuning gamma needs it. exp3_1_mb warns on an
+    adversarial instance that breaks the doubling trick's reward-covers-cost
+    assumption.
     """
-    cfg = validate_config(spec.config)
-    env = materialize_environment(spec)
-    _validate_env(cfg, env, spec.policy)
-    if spec.policy.name == "exp3_1_mb" and isinstance(env, AdversarialEnv):
-        warn_if_irrational(env, cfg.plays)
+    prep = _prepare(spec, materialize_environment(spec))
+    if spec.policy.name == "exp3_1_mb" and isinstance(prep.env, AdversarialEnv):
+        warn_if_irrational(prep.env, spec.config.plays)
+    return prep
+
+
+def _prepare(spec: RunSpec, env: Union[StochasticEnv, AdversarialEnv]) -> Prepared:
+    """prepare on the spec's materialized environment, without the warning."""
+    _validate_env(spec.config, env, spec.policy)
     oracle = functools.cache(functools.partial(_oracle_for, spec, env))
     gamma, g_used = _resolve_gamma(spec, oracle)
-    return Prepared(cfg, env, gamma, g_used, oracle)
+    return Prepared(env, gamma, g_used, oracle)
 
 
 def _episodes(spec: RunSpec, prep: Prepared, record: bool = False) -> list[EpisodeTrace]:
@@ -517,8 +545,8 @@ def _episodes(spec: RunSpec, prep: Prepared, record: bool = False) -> list[Episo
     exp3 family plays them in lockstep, ucb_mb one after another."""
     rngs = [episode_rng(spec.base_seed, i + 1) for i in range(spec.replications)]
     if spec.policy.name == "ucb_mb":
-        return [ucb_run_episode(prep.cfg, prep.env, rng, record=record) for rng in rngs]
-    return play_lockstep(Variant(spec.policy.name), prep.cfg, prep.env, rngs, gamma=prep.gamma,
+        return [ucb_run_episode(spec.config, prep.env, rng, record=record) for rng in rngs]
+    return play_lockstep(Variant(spec.policy.name), spec.config, prep.env, rngs, gamma=prep.gamma,
                          record=record)
 
 
@@ -588,16 +616,20 @@ def _ignores_budget(spec: RunSpec) -> bool:
 def _budget_reports(spec: RunSpec, budgets: Sequence[float]) -> list[RegretReport]:
     """One report per budget, in the order given.
 
-    Every budget is prepared, and so checked, as a run at it would be. An
-    anytime spec runs each replication once, at the largest budget, and
-    reads every budget's gain and stopping time off that episode's round
-    totals (_checkpoints); a spec that ignores B plays its replications once
-    for all budgets; any other spec plays them at each budget.
+    Every budget is prepared, and so checked, as a run at it would be, but an
+    environment that does not depend on B is materialized, and warned about,
+    at the first budget only. An anytime spec runs each replication once, at
+    the largest budget, and reads every budget's gain and stopping time off
+    that episode's round totals (_checkpoints); a spec that ignores B plays
+    its replications once for all budgets; any other spec plays them at each
+    budget.
     """
     specs = [replace(spec, config=replace(spec.config, budget=float(b))) for b in budgets]
-    preps = [prepare(sub) for sub in specs]
+    preps = [prepare(specs[0])]
+    preps += [prepare(sub) if isinstance(sub.environment, LowerBoundSpec)
+              else _prepare(sub, preps[0].env) for sub in specs[1:]]
     if _is_anytime(spec):
-        values = np.array([prep.cfg.budget for prep in preps])
+        values = np.array([sub.config.budget for sub in specs])
         top = int(values.argmax())
         gains = np.empty((spec.replications, values.size))
         stops = np.empty((spec.replications, values.size), dtype=np.intp)
@@ -627,130 +659,30 @@ def sweep(spec: RunSpec, budgets: Sequence[float]) -> list[dict]:
     } for budget, report in zip(budgets, _budget_reports(spec, budgets))]
 
 
-def run_spec_to_dict(spec: RunSpec) -> dict:
-    cfg = spec.config
-    env = spec.environment
-    if isinstance(env, LowerBoundSpec):
-        env_doc: dict = {"type": "lower_bound", "eps": env.eps,
-                         "good_set": list(env.good_set) if env.good_set else None}
-    else:
-        env_doc = env_to_dict(env)
-    policy: dict = {"name": spec.policy.name}
-    if spec.policy.gamma is not None:
-        policy["gamma"] = spec.policy.gamma
-    if spec.policy.g is not None:
-        policy["g"] = spec.policy.g
-    return {
-        "config": {
-            "n_arms": cfg.n_arms, "plays": cfg.plays, "budget": cfg.budget,
-            "c_min": cfg.c_min, "confidence": cfg.confidence, "horizon": cfg.horizon,
-        },
-        "policy": policy,
-        "environment": env_doc,
-        "replications": spec.replications,
-        "base_seed": spec.base_seed,
-    }
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int: an integer, or a float with an integral value
-    such as 4.0; anything else, a bool included, is a ConfigError."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _seed(value) -> int:
-    """A base seed: read by _integer and at least 0."""
-    seed = _integer(value, "base_seed")
-    if seed < 0:
-        raise ConfigError("base_seed must be >= 0")
-    return seed
-
-
-def _good_set(value, n_arms: int, plays: int) -> Optional[tuple[int, ...]]:
-    """A lower-bound instance's good arms: K distinct arms in [0, N), each
-    read by _integer; None if unset."""
-    if not value:
-        return None
-    good = tuple(_integer(a, "good_set entry") for a in value)
-    if len(good) != plays or len(set(good)) != plays:
-        raise ConfigError(f"good_set must hold K={plays} distinct arms, got {list(good)}")
-    if not all(0 <= a < n_arms for a in good):
-        raise ConfigError(f"good_set arms must lie in [0, {n_arms}), got {list(good)}")
-    return good
-
-
-def _eps(value) -> Optional[float]:
-    """A lower-bound instance's bias: a number in [0, 1/4] (0 makes every arm
-    alike); None if unset, which tunes it."""
-    if value is None:
-        return None
-    eps = _real(value, "eps")
-    if not 0.0 <= eps <= 0.25:  # written so that NaN fails
-        raise ConfigError(f"eps must lie in [0, 1/4], got {eps!r}")
-    return eps
-
-
-def lower_bound_env_from_dict(doc: dict,
-                              seed: Optional[int] = None) -> tuple[AdversarialEnv, float]:
-    """The lower-bound instance an lbenv config describes, and its eps; a
-    given ``seed`` replaces base_seed. Drawn as materialize_environment draws it."""
-    try:
-        seed = _seed(doc.get("base_seed", 0) if seed is None else seed)
-        cfg = validate_config(BanditConfig(
-            n_arms=_integer(doc["n_arms"], "n_arms"), plays=_integer(doc["plays"], "plays"),
-            budget=_real(doc["budget"], "budget"), c_min=_real(doc["c_min"], "c_min")))
-        good = _good_set(doc.get("good_set"), cfg.n_arms, cfg.plays)
-        eps = _eps(doc.get("eps"))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad lbenv config: {exc}") from exc
-    if eps is None:
-        eps = bounds_mod.tuned_eps(cfg.budget, cfg.n_arms, cfg.plays, cfg.c_min)
-    env = bounds_mod.make_lower_bound_env(cfg.n_arms, cfg.plays, cfg.budget, cfg.c_min, eps,
-                                          episode_rng(seed, ENV_STREAM), good_set=good)
-    return env, eps
+def lower_bound_env_from_dict(doc: dict) -> tuple[AdversarialEnv, float]:
+    """The lower-bound instance an lbenv config describes, and its eps,
+    drawn as materialize_environment draws it; a fault is a ConfigError."""
+    with _reading("lbenv config"):
+        doc = _object(doc, "lbenv config")
+        cfg = BanditConfig(n_arms=doc["n_arms"], plays=doc["plays"], budget=doc["budget"],
+                           c_min=doc["c_min"])
+        spec = LowerBoundSpec(eps=doc.get("eps"), good_set=doc.get("good_set"))
+        seed = doc.get("base_seed", 0)
+    return _lower_bound_instance(cfg, spec, seed)
 
 
 def run_spec_from_dict(doc: dict) -> RunSpec:
-    try:
-        cfg_doc = doc["config"]
-        horizon = cfg_doc.get("horizon")
+    """The run specification a run config describes; a fault is a ConfigError."""
+    with _reading("run specification"):
+        doc = _object(doc, "run specification")
+        cfg_doc, pol_doc, env_doc = (_object(doc[key], key)
+                                     for key in ("config", "policy", "environment"))
         cfg = BanditConfig(
-            n_arms=_integer(cfg_doc["n_arms"], "n_arms"),
-            plays=_integer(cfg_doc["plays"], "plays"),
-            budget=_real(cfg_doc["budget"], "budget"),
-            c_min=_real(cfg_doc["c_min"], "c_min"),
-            confidence=_real(cfg_doc.get("confidence", 0.1), "confidence"),
-            horizon=_integer(horizon, "horizon") if horizon is not None else None,
-        )
-        pol_doc = doc["policy"]
-        policy = PolicySpec(
-            name=str(pol_doc["name"]),
-            gamma=pol_doc.get("gamma"),
-            g=pol_doc.get("g"),
-        )
-        validate_config(cfg)
-        env_doc = doc["environment"]
-        if env_doc.get("type") == "lower_bound":
-            environment: Environment = LowerBoundSpec(
-                eps=_eps(env_doc.get("eps")),
-                good_set=_good_set(env_doc.get("good_set"), cfg.n_arms, cfg.plays),
-            )
-        else:
-            environment = env_from_dict(env_doc)
-        return RunSpec(
-            config=cfg,
-            policy=policy,
-            environment=environment,
-            replications=_integer(doc.get("replications", 1), "replications"),
-            base_seed=_seed(doc.get("base_seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad run specification: {exc}") from exc
+            n_arms=cfg_doc["n_arms"], plays=cfg_doc["plays"], budget=cfg_doc["budget"],
+            c_min=cfg_doc["c_min"], confidence=cfg_doc.get("confidence", 0.1),
+            horizon=cfg_doc.get("horizon"))
+        policy = PolicySpec(name=pol_doc["name"], gamma=pol_doc.get("gamma"), g=pol_doc.get("g"))
+        environment = (LowerBoundSpec(eps=env_doc.get("eps"), good_set=env_doc.get("good_set"))
+                       if env_doc.get("type") == "lower_bound" else env_from_dict(env_doc))
+        return RunSpec(cfg, policy, environment, replications=doc.get("replications", 1),
+                       base_seed=doc.get("base_seed", 0))

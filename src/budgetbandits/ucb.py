@@ -30,7 +30,6 @@ from .core import (
     StochasticEnv,
     draw_round,
     sum_in_order,
-    validate_config,
 )
 
 
@@ -140,10 +139,10 @@ def ucb_run_episode(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Genera
     exceeds the remaining budget (without crediting that round), otherwise pay,
     credit, and update. The all-arms initialization is round 1 and is charged
     identically. Attaching ``oracle_arms`` keeps the suboptimal-play
-    counters and changes nothing else: the episode and the generator's end
-    state are those of the episode without them.
+    counters, returned in ``extras["suboptimal_counters"]``, and changes
+    nothing else: the episode and the generator's end state are those of the
+    episode without them.
     """
-    validate_config(cfg)
     if env.n_arms != cfg.n_arms:
         raise ValueError("environment arm count does not match config")
     trace = EpisodeTrace(0.0, 0, 0.0)
@@ -157,6 +156,8 @@ def ucb_run_episode(cfg: BanditConfig, env: StochasticEnv, rng: np.random.Genera
             trace.rounds.append(RoundRecord(t, arms, np.array(rewards), np.array(costs),
                                             None, remaining))
         if trace.stopping_time:
+            if oracle_arms is not None:
+                trace.extras["suboptimal_counters"] = state.suboptimal_counters
             return trace
         if t > 1:
             ucb_update(state, arms, rewards, costs, t + 1)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from budgetbandits import env_from_dict, episode_rng
+from budgetbandits import env_from_dict, env_to_dict, episode_rng, tuned_eps
 from budgetbandits.cli import main
+from budgetbandits.harness import materialize_environment, run_spec_from_dict
 
 
 def write_json(path, doc):
@@ -107,6 +108,7 @@ class TestRun:
         "good_set_repeated_arm", "eps_out_of_range", "nan_eps", "string_eps",
         *POLICY_BREAKAGES, "bool_budget", "string_c_min", "string_env_c_min",
         "string_mean_rewards", "string_beta_concentration", "bool_eps", "numeric_string_eps",
+        "list_config", "string_config", "list_environment", "string_environment",
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
         doc = run_doc(episode_rng(1, 1))
@@ -163,6 +165,10 @@ class TestRun:
             doc["environment"].update(LOWER_BOUND_BREAKAGES[breakage])
         elif breakage in POLICY_BREAKAGES:
             doc["policy"] = {"name": "exp3_mb", **POLICY_BREAKAGES[breakage]}
+        elif breakage.endswith(("_config", "_environment")):
+            # a section that is not a JSON object
+            kind, section = breakage.split("_", 1)
+            doc[section] = [doc[section]] if kind == "list" else "abc"
         else:
             doc["policy"]["gamma"] = 0.3
         cfg = write_json(tmp_path / "bad.json", doc)
@@ -428,13 +434,12 @@ class TestLbenv:
         })
         assert main(["lbenv", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
-        from budgetbandits import tuned_eps
         assert doc["eps"] == pytest.approx(tuned_eps(20.0, 5, 2, 0.5))
 
     @pytest.mark.parametrize("breakage", [
         "fractional_n_arms", "bool_plays", "negative_seed", "fractional_good_set",
         "negative_seed_flag", "plays_above_n_arms", "inf_budget", "c_min_one",
-        *LOWER_BOUND_BREAKAGES, "bool_budget", "string_c_min",
+        *LOWER_BOUND_BREAKAGES, "bool_budget", "string_c_min", "array_config", "null_config",
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, breakage):
         doc = {"n_arms": 4, "plays": 2, "budget": 20.0, "c_min": 0.5, "base_seed": 3}
@@ -459,11 +464,32 @@ class TestLbenv:
             doc["c_min"] = "0.5"
         elif breakage in LOWER_BOUND_BREAKAGES:
             doc.update(LOWER_BOUND_BREAKAGES[breakage])
+        elif breakage == "array_config":
+            doc = [doc]
+        elif breakage == "null_config":
+            doc = None
         else:
             flags = ["--seed", "-1"]
         cfg = write_json(tmp_path / "lb.json", doc)
         assert main(["lbenv", "--config", cfg] + flags) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed_flag", [None, 9])
+    @pytest.mark.parametrize("good_set", [None, [1, 3]])
+    @pytest.mark.parametrize("eps", [None, 0.1])
+    def test_equals_the_instance_run_draws(self, tmp_path, capsys, eps, good_set, seed_flag):
+        lb = {"n_arms": 5, "plays": 2, "budget": 20.0, "c_min": 0.5}
+        flags = [] if seed_flag is None else ["--seed", str(seed_flag)]
+        cfg = write_json(tmp_path / "lb.json",
+                         {**lb, "eps": eps, "good_set": good_set, "base_seed": 3})
+        assert main(["lbenv", "--config", cfg] + flags) == 0
+        drawn = json.loads(capsys.readouterr().out)
+        run = {"config": lb, "policy": {"name": "exp3_1_mb"},
+               "environment": {"type": "lower_bound", "eps": eps, "good_set": good_set},
+               "base_seed": 3 if seed_flag is None else seed_flag}
+        env = env_to_dict(materialize_environment(run_spec_from_dict(run)))
+        assert drawn.pop("eps") == (0.1 if eps is not None else tuned_eps(20.0, 5, 2, 0.5))
+        assert drawn == env
 
     def test_integral_float_counts_accepted(self, tmp_path):
         doc = {"n_arms": 5, "plays": 2, "budget": 20.0, "c_min": 0.5, "eps": 0.1,

@@ -50,6 +50,25 @@ def test_validate_config_rejections(kwargs, match):
         validate_config(BanditConfig(**kwargs))
 
 
+def test_config_reads_its_own_fields():
+    cfg = BanditConfig(n_arms=4.0, plays=2, budget=10, c_min=0.5, horizon=8.0)
+    assert (cfg.n_arms, cfg.horizon, cfg.budget) == (4, 8, 10.0)
+    assert [type(v) for v in (cfg.n_arms, cfg.horizon, cfg.budget)] == [int, int, float]
+
+
+@pytest.mark.parametrize("budget", [True, "100"])
+def test_config_refuses_a_budget_that_is_not_a_number(budget):
+    with pytest.raises(ConfigError, match="budget must be a number"):
+        BanditConfig(n_arms=4, plays=2, budget=budget, c_min=0.5)
+
+
+def test_envs_refuse_entries_that_are_not_numbers():
+    with pytest.raises(ConfigError, match="mean_rewards"):
+        StochasticEnv(mean_rewards=[True, True, 0.7, 0.6], mean_costs=[0.6] * 4, c_min=0.5)
+    with pytest.raises(ConfigError, match="rewards"):
+        AdversarialEnv(rewards=[["0.5", "0.5"]] * 3, costs=[[0.6, 0.6]] * 3)
+
+
 def test_stochastic_env_rejects_bad_means():
     with pytest.raises(ConfigError):
         StochasticEnv(mean_rewards=[0.0, 0.5], mean_costs=[0.5, 0.5], c_min=0.5)

@@ -19,7 +19,7 @@ from budgetbandits import (
     simulate_fixed_subset,
     ucb_run_episode,
 )
-from budgetbandits.harness import materialize_environment, run_spec_from_dict, run_spec_to_dict
+from budgetbandits.harness import materialize_environment, run_spec_from_dict
 from budgetbandits.serialize import dumps
 
 
@@ -260,15 +260,17 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="neither gamma nor g"):
             PolicySpec(name, **kwargs)
 
-    def test_run_spec_dict_round_trip(self):
-        cfg = BanditConfig(n_arms=3, plays=2, budget=8.0, c_min=0.5, horizon=None)
+    def test_run_spec_reads_its_counts(self):
+        cfg = BanditConfig(n_arms=3, plays=2, budget=8.0, c_min=0.5)
         env = StochasticEnv(mean_rewards=[0.9, 0.5, 0.4],
                             mean_costs=[0.5, 0.6, 0.7], c_min=0.5)
-        spec = RunSpec(cfg, PolicySpec("ucb_mb"), env, replications=3, base_seed=9)
-        back = run_spec_from_dict(run_spec_to_dict(spec))
-        assert back.config == cfg
-        assert back.policy == spec.policy
-        assert back.replications == 3 and back.base_seed == 9
+        spec = RunSpec(cfg, PolicySpec("ucb_mb"), env, replications=3.0, base_seed=1.0)
+        assert (spec.replications, spec.base_seed) == (3, 1)
+        assert type(spec.replications) is type(spec.base_seed) is int
+
+    def test_lower_bound_spec_checks_eps(self):
+        with pytest.raises(ConfigError, match="eps must lie in"):
+            LowerBoundSpec(eps=0.9)
 
     def test_lower_bound_spec_materializes_deterministically(self):
         cfg = BanditConfig(n_arms=4, plays=2, budget=20.0, c_min=0.5)

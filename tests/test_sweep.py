@@ -5,6 +5,8 @@ every smaller budget off the episode's round totals; the results must be
 those of a separate run at that budget, bit for bit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,7 +134,7 @@ def episode_budgets(monkeypatch, spec, budgets):
     original = harness._episodes
 
     def counting(spec, prep, *args, **kwargs):
-        played.extend([prep.cfg.budget] * spec.replications)
+        played.extend([spec.config.budget] * spec.replications)
         return original(spec, prep, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_episodes", counting)
@@ -180,6 +182,19 @@ def test_fixed_horizon_policy_reruns_each_budget_on_lower_bound_instances(monkey
     # the instance itself follows B
     spec = fixed_horizon(LowerBoundSpec(eps=0.1))
     assert episode_budgets(monkeypatch, spec, (8.0, 16.0)) == [8.0, 8.0, 16.0, 16.0]
+
+
+def test_one_environment_warns_once():
+    # rewards 0: every round breaks the doubling trick's reward-covers-cost
+    # assumption, on the one environment of every budget
+    t_max = default_t_max(max(BUDGETS), K, C_MIN)
+    env = AdversarialEnv(rewards=np.zeros((t_max, N)),
+                         costs=C_MIN + 0.5 * episode_rng(66, 1).random((t_max, N)))
+    spec = spec_at(PolicySpec("exp3_1_mb"), env, 8.0, 1, replications=1)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        harness.sweep(spec, (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0))
+    assert len(seen) == 1 and "reward-covers-cost" in str(seen[0].message)
 
 
 @pytest.mark.parametrize("budgets", [(8.0, -1.0), (8.0, float("nan"))])

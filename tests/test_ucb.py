@@ -13,7 +13,7 @@ from budgetbandits import (
     ucb_select,
     ucb_update,
 )
-from budgetbandits.core import draw_round, sum_in_order
+from budgetbandits.core import draw_round
 from budgetbandits.ucb import UcbState
 
 
@@ -187,25 +187,14 @@ class TestEpisode:
             assert sum(r.costs.sum() for r in credited) == pytest.approx(trace.budget_spent)
 
     def test_counter_identity(self):
-        # sum of counters equals the number of suboptimal rounds
+        # the episode's counters sum to its suboptimal rounds, the
+        # all-arms init round and the uncredited last round aside
         cfg = BanditConfig(n_arms=3, plays=1, budget=30.0, c_min=0.5)
         env = StochasticEnv(mean_rewards=[0.9, 0.5, 0.2],
                             mean_costs=[0.5, 0.6, 0.9], c_min=0.5)
-        rng = episode_rng(7, 1)
-        state, cost, _ = ucb_init(cfg, env, rng, oracle_arms=(0,))
-        remaining = cfg.budget - cost
-        suboptimal = 0
-        while True:
-            arms = ucb_select(state)
-            rewards, costs = draw_round(env, arms, rng)
-            cost = sum_in_order(costs)
-            if cost > remaining:
-                break
-            remaining -= cost
-            if set(arms) != {0}:
-                suboptimal += 1
-            ucb_update(state, arms, rewards, costs, state.t + 1)
-        assert sum(state.suboptimal_counters) == suboptimal
+        trace = ucb_run_episode(cfg, env, episode_rng(7, 1), oracle_arms=(0,))
+        suboptimal = sum(r.arms != (0,) for r in trace.rounds[1:-1])
+        assert sum(trace.extras["suboptimal_counters"]) == suboptimal > 0
 
     def test_counters_change_nothing(self):
         # the acceptance suite's ucb instance: the instrumented episode is the
@@ -219,6 +208,7 @@ class TestEpisode:
         assert (counted.gain, counted.stopping_time) == (plain.gain, plain.stopping_time)
         assert counted.budget_spent == plain.budget_spent
         assert [r.arms for r in counted.rounds] == [r.arms for r in plain.rounds]
+        assert plain.extras == {} and len(counted.extras["suboptimal_counters"]) == 4
         assert same_state(counted_rng.bit_generator.state, plain_rng.bit_generator.state)
 
     def test_no_leakage_into_unplayed_arms(self):

@@ -1,8 +1,9 @@
 """ucb_mb's plain-float episode against the array reference (tests/ucb_reference.py).
 
 Every field of every trace must be equal bit for bit: gain, stopping time and
-spend (compared by float.hex), the round totals and, with recording on, every
-RoundRecord, with and without an oracle arm set attached.
+spend (compared by float.hex), the round totals, the extras (the suboptimal-play
+counters, with an oracle arm set attached) and, with recording on, every
+RoundRecord.
 """
 
 import numpy as np
@@ -77,6 +78,7 @@ def test_episode_equals_reference(family, n, k, mode):
     got, want = both(cfg, env, seed, oracle_arms=oracle, record=mode != "no_record")
     assert_same_trace(got, want)
     assert got.stopping_time > 2
+    assert ("suboptimal_counters" in got.extras) == (mode == "oracle")
     if mode == "no_record":
         assert got.rounds == []
 

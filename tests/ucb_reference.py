@@ -71,7 +71,8 @@ def _sum(values):
 
 def reference_episode(cfg, env, rng, oracle_arms=None, record=True):
     """One ucb_mb episode, as the array loop plays it; with ``oracle_arms``
-    the suboptimal-play counters are kept, ties to the lowest index."""
+    the suboptimal-play counters are kept, ties to the lowest index, and
+    returned in extras["suboptimal_counters"]."""
     n, k, c_min = cfg.n_arms, cfg.plays, cfg.c_min
     trace = EpisodeTrace(0.0, 0, 0.0)
     arms = tuple(range(n))
@@ -94,6 +95,8 @@ def reference_episode(cfg, env, rng, oracle_arms=None, record=True):
         if record:
             trace.rounds.append(RoundRecord(t, arms, rewards, costs, None, remaining))
         if trace.stopping_time:
+            if oracle_arms is not None:
+                trace.extras["suboptimal_counters"] = counters.tolist()
             return trace
         if t > 1:
             exploration = reference_fold(pulls, mean_r, mean_c, arms, rewards, costs, t + 1,
