@@ -5,10 +5,30 @@ Replication i derives its own random stream from (base_seed, i + 1), stream
 folded in replication order. The exp3 family plays a spec's replications as
 the rows of one lockstep pass (exp3.play_lockstep), ucb_mb one by one.
 
-The exact adversarial oracle evaluates subsets in lexicographic blocks. For a
-block of m subsets it builds the (T_max + 1, m) matrix whose row 0 is the
-budget and whose row t is round t's cost, each summed over the subset's arms
-left to right (core.sum_in_order, as played rounds are summed). A subtract
+The exact adversarial oracle screens the subsets before it plays any. It
+takes them in lexicographic chunks and, from every arm's prefix sums of costs
+and of rewards ((T_max + 1, N) each), bisects per subset the first round at
+which the budget minus the subset's prefix-summed spend falls below +tol and
+the first at which it falls below -tol. The policies' sequential remainders
+lie within tol of those differences, so the subset overdraws in a round
+between the two, and its gain lies between the reward prefix sums just before
+them, widened by tol. Each remainder or gain is B and at most T_max round
+totals of K terms in [0, 1], summed either way with at most T_max + K
+roundings, so the two ways differ by at most (T_max + K) eps (B + K T_max),
+eps = 2^-52, to first order; tol is four times that. A floor, the best lower
+bound seen so far, only rises; the subsets whose upper bound reaches it go,
+in lexicographic order, to the block kernel below, and the chunks' winners
+are compared with a strict >. Every skipped subset gains strictly less than
+some other, so the oracle returns the very (arms, gain) of the kernel run
+over all subsets, ties to the first, and every gain it returns is the
+kernel's. A subset that may outlast the T_max rows always goes to the
+kernel, which raises. On the N = 24, K = 4 lower-bound instance a handful of
+the 10626 subsets reach the kernel.
+
+The block kernel (_best_subset) evaluates subsets in lexicographic blocks.
+For a block of m subsets it builds the (T_max + 1, m) matrix whose row 0 is
+the budget and whose row t is round t's cost, each summed over the subset's
+arms left to right (core.sum_in_order, as played rounds are summed). A subtract
 accumulate down the rounds then yields the very remainders of the policies'
 sequential subtraction; a round overdraws iff its remainder turns negative,
 and the subset's gain is an add accumulate of the reward totals read just
@@ -85,8 +105,12 @@ ENUMERATION_LIMIT = 10 ** 6  # subsets the exact oracle enumerates at most
 
 # float64 cells per work buffer of the exact oracle and of the checkpoint
 # kernel: a block holds _BLOCK_CELLS // (T + 1) subsets or budgets, whatever
-# N choose K or the number of budgets is
+# N choose K or the number of budgets is; the oracle's screen holds about
+# 3 K + 12 cells per subset (its arms, their indices and prefix sums, and the
+# bisection's vectors), so a chunk of _BLOCK_CELLS // (3 K + 12) subsets
+# keeps them within _BLOCK_CELLS cells together
 _BLOCK_CELLS = 1 << 14
+_EPS = float(np.finfo(np.float64).eps)  # 2^-52
 
 
 @dataclass(frozen=True)
@@ -318,8 +342,78 @@ def oracle_gain_adversarial(env: AdversarialEnv, cfg: BanditConfig,
     if math.comb(n, k) > ENUMERATION_LIMIT:
         raise ConfigError(
             "N choose K exceeds the exact-oracle limit (10^6); use greedy mode")
-    return _best_subset(env, itertools.combinations(range(n), k), math.comb(n, k), k,
-                        cfg.budget)
+    return _screened_best_subset(env, k, cfg.budget)
+
+
+def _screened_best_subset(env: AdversarialEnv, plays: int,
+                          budget: float) -> tuple[tuple[int, ...], float]:
+    """What _best_subset returns over every sorted ``plays``-subset, found by
+    running it on the subsets the screen cannot rule out (module docstring)."""
+    t_max, n = env.t_max, env.n_arms
+    # how far a remainder or a gain summed from the prefix sums may lie from
+    # the kernel's, with a margin of 4 (module docstring)
+    tol = 4.0 * (t_max + plays) * _EPS * (budget + plays * t_max)
+    spent, earned = _prefix_sums(env.costs), _prefix_sums(env.rewards)
+    chunk = max(1, _BLOCK_CELLS // (3 * plays + 12))
+    subsets = itertools.combinations(range(n), plays)
+    floor = best_gain = -math.inf
+    best_arms: Optional[tuple[int, ...]] = None
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, chunk)),
+                           dtype=np.intp)
+        m = flat.size // plays
+        if m == 0:
+            break
+        arms = flat.reshape(m, plays)
+        # rounds 1..T_max: the first whose remainder may be negative, the
+        # first whose remainder surely is (T_max + 1: none); the subset's
+        # overdraw lies between them, and it gains the rounds before it
+        maybe = _first_below(spent, arms, budget, tol)
+        surely = maybe.copy()
+        unsure = budget - _subset_totals(spent, arms, np.minimum(maybe, t_max)) >= -tol
+        if unsure.any():
+            surely[unsure] = _first_below(spent, arms[unsure], budget, -tol)
+        lower = _subset_totals(earned, arms, maybe - 1) - tol
+        upper = _subset_totals(earned, arms, surely - 1) + tol
+        upper[surely > t_max] = math.inf  # it may outlast the rows: the kernel decides
+        floor = max(floor, float(lower.max()))
+        keep = arms[upper >= floor].tolist()
+        if keep:
+            chunk_arms, gain = _best_subset(env, iter(keep), len(keep), plays, budget)
+            if gain > best_gain:
+                best_arms, best_gain = chunk_arms, gain
+    assert best_arms is not None
+    return best_arms, best_gain
+
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    """(T_max + 1, N): row t holds each arm's total over the first t rounds."""
+    out = np.zeros((values.shape[0] + 1, values.shape[1]))
+    np.add.accumulate(values, axis=0, out=out[1:])
+    return out
+
+
+def _subset_totals(prefix: np.ndarray, arms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """prefix[rows[i], arms[i]].sum() for each subset i."""
+    return sum_in_order(prefix.take(rows[:, None] * prefix.shape[1] + arms).T)
+
+
+def _first_below(spent: np.ndarray, arms: np.ndarray, budget: float,
+                 level: float) -> np.ndarray:
+    """Each subset's first round t in 1..T_max at which budget minus its
+    prefix-summed spend falls below ``level``, T_max + 1 if none does.
+
+    That difference never rises with t, so a bisection finds the round.
+    """
+    t_max = spent.shape[0] - 1
+    lo = np.ones(arms.shape[0], dtype=np.intp)
+    hi = np.full(arms.shape[0], t_max + 1, dtype=np.intp)
+    for _ in range(t_max.bit_length()):
+        mid = np.minimum((lo + hi) >> 1, t_max)
+        below = budget - _subset_totals(spent, arms, mid) < level
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid + 1)
+    return hi
 
 
 def oracle_gain_fixed_horizon(env: AdversarialEnv, horizon: int,

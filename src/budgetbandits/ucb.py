@@ -10,7 +10,8 @@ An episode is one loop on plain floats: each arm's pulls, means and bonus
 sit in Python lists, a round takes the top K of the (-score, index) order and
 plays them in ascending order, core.draw_round draws their rewards and costs
 with one call into the generator, and only the played arms' means move
-before every bonus is recomputed with exploration_term at the next round.
+before every bonus is recomputed at the next round, with one log for all
+arms.
 The episode is the ucb_init / ucb_select / draw_round / ucb_update loop, and
 those are the stages it calls.
 """
@@ -66,7 +67,13 @@ def exploration_term(pulls: int, t: int | float, plays: int, c_min: float) -> fl
     while c_min exceeds the inner square root, else +inf (infinite optimism,
     forcing further exploration of the arm).
     """
-    eps = math.sqrt((plays + 1) * math.log(t) / pulls)
+    return _bonus((plays + 1) * math.log(t), pulls, c_min)
+
+
+def _bonus(scale: float, pulls: int, c_min: float) -> float:
+    """exploration_term given scale = (K+1) log t, the product it forms first,
+    so that a round computes the log once for all arms."""
+    eps = math.sqrt(scale / pulls)
     if c_min > eps:
         return eps * (1.0 + 1.0 / c_min) / (c_min - eps)
     return math.inf
@@ -123,8 +130,8 @@ def ucb_update(state: UcbState, arms: Sequence[int], rewards: Sequence[float],
         mean_r[j] += (r - mean_r[j]) / n
         mean_c[j] += (c - mean_c[j]) / n
     state.t = t_next
-    plays, c_min = state.plays, state.c_min
-    state.exploration = [exploration_term(n, t_next, plays, c_min) for n in pulls]
+    scale, c_min = (state.plays + 1) * math.log(t_next), state.c_min
+    state.exploration = [_bonus(scale, n, c_min) for n in pulls]
     if state.oracle_arms is not None and set(arms) != set(state.oracle_arms):
         counters = state.suboptimal_counters
         counters[min(arms, key=lambda j: (counters[j], j))] += 1

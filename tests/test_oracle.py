@@ -1,8 +1,9 @@
-"""The exact adversarial oracle's block evaluation against naive play.
+"""The exact adversarial oracle's screen and block evaluation against naive play.
 
-The oracle evaluates subsets a block at a time; its block size comes from the
-private cell budget ``harness._BLOCK_CELLS``, which these tests shrink so that
-small instances cross block boundaries.
+The oracle screens subsets a chunk at a time and evaluates the survivors a
+block at a time; both sizes come from the private cell budget
+``harness._BLOCK_CELLS``, which these tests shrink so that small instances
+cross chunk and block boundaries.
 """
 
 import math
@@ -19,9 +20,13 @@ from budgetbandits import (
     AdversarialEnv,
     BanditConfig,
     ConfigError,
+    LowerBoundSpec,
+    PolicySpec,
+    RunSpec,
     default_t_max,
     episode_rng,
     exp3mb_run_episode,
+    make_lower_bound_env,
     oracle_gain_adversarial,
     simulate_fixed_subset,
 )
@@ -196,3 +201,129 @@ def test_policy_playing_every_arm_matches_the_oracle_exactly():
         gain, stopping_time = naive_play(env, range(9), 30.0)
         assert trace.gain == g_max == gain
         assert trace.stopping_time == stopping_time
+
+
+def unscreened(env, plays, budget):
+    """The block kernel run over every subset, with no screen."""
+    n = env.n_arms
+    return harness._best_subset(env, combinations(range(n), plays), math.comb(n, plays), plays,
+                                budget)
+
+
+def assert_screen_exact(env, plays, budget):
+    """The oracle returns the unscreened kernel's (arms, gain), bit for bit."""
+    cfg = BanditConfig(n_arms=env.n_arms, plays=plays, budget=budget,
+                       c_min=float(env.costs.min()))
+    a_star, g_max = oracle_gain_adversarial(env, cfg)
+    arms, gain = unscreened(env, plays, budget)
+    assert (a_star, g_max.hex()) == (arms, gain.hex())
+    return a_star, g_max
+
+
+class TestScreen:
+    """The screen sends the kernel only the subsets it cannot rule out."""
+
+    # chunks of one subset, of a few, and the default
+    @pytest.mark.parametrize("cells", [1, 64, None])
+    def test_continuous_instances(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
+        rng = episode_rng(310, 1)
+        for _ in range(20 if cells == 1 else 60):
+            n = int(rng.integers(2, 8))
+            plays = int(rng.integers(1, min(n, 3) + 1))
+            budget = float(rng.uniform(0.5, 12.0))
+            assert_screen_exact(random_env(rng, n, plays, budget), plays, budget)
+
+    def test_tenth_grid_instances(self):
+        # sums of tenths are inexact, so remainders near zero land on either
+        # side of it; without its tolerance the screen drops the best subset
+        # of some of these
+        rng = episode_rng(311, 1)
+        for _ in range(400):
+            n = int(rng.integers(2, 7))
+            plays = int(rng.integers(1, 3))
+            budget = round(float(rng.uniform(0.5, 5.0)), 1)
+            shape = (default_t_max(budget, plays, 0.1), n)
+            env = AdversarialEnv(rewards=np.round(rng.random(shape), 1),
+                                 costs=np.round(0.1 + 0.9 * rng.random(shape), 1))
+            assert_screen_exact(env, plays, budget)
+
+    @pytest.mark.parametrize("cells", [1, None])
+    def test_half_integer_grids_where_remainders_land_on_zero(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
+        # arm 0 costs 0.5 a round, so on a whole budget its remainder is
+        # exactly 0 after 2B rounds and the next round overdraws
+        env = column_env([0.5, 1.0, 0.5], [0.5, 1.0, 1.0], t_max=10)
+        assert assert_screen_exact(env, 1, 4.0) == ((0,), 4.0)
+        rng = episode_rng(312, 1)
+        for _ in range(10 if cells == 1 else 40):
+            n = int(rng.integers(2, 7))
+            plays = int(rng.integers(1, min(n, 3) + 1))
+            budget = float(rng.integers(1, 13)) / 2
+            shape = (default_t_max(budget, plays, 0.5), n)
+            env = AdversarialEnv(rewards=np.round(2.0 * rng.random(shape)) / 2.0,
+                                 costs=np.round(1.0 + rng.random(shape)) / 2.0)
+            assert_screen_exact(env, plays, budget)
+
+    def test_duplicated_arms_tie_across_a_chunk_boundary(self, monkeypatch):
+        # arms 2 and 4 are one column: (0, 2) and (0, 4) tie for best, and
+        # chunks of one subset put them in different chunks
+        monkeypatch.setattr(harness, "_BLOCK_CELLS", 1)
+        env = column_env([0.9, 0.1, 0.7, 0.1, 0.7], [0.5, 0.5, 0.6, 0.5, 0.6], t_max=20)
+        assert assert_screen_exact(env, 2, 8.0)[0] == (0, 2)
+        rng = episode_rng(313, 1)
+        for _ in range(10):
+            # only arms 0, 2 and 4 earn, arm 0 at the least cost, so (0, 2)
+            # and (0, 4) tie for best
+            costs = random_env(rng, 5, 2, 6.0).costs.copy()
+            costs[:, 0] = 0.5
+            costs[:, 4] = costs[:, 2]
+            rewards = np.zeros_like(costs)
+            rewards[:, [0, 2, 4]] = 1.0
+            env = AdversarialEnv(rewards=rewards, costs=costs)
+            a_star, g_max = assert_screen_exact(env, 2, 6.0)
+            ties = [s for s in combinations(range(5), 2)
+                    if simulate_fixed_subset(env, s, 6.0) == g_max]
+            assert len(ties) >= 2 and a_star == ties[0]
+
+    def test_budget_below_the_first_round(self):
+        # every subset overdraws in round 1 and gains 0, so the first one wins
+        rng = episode_rng(314, 1)
+        env = random_env(rng, 6, 2, budget=4.0)
+        assert assert_screen_exact(env, 2, 0.9) == ((0, 1), 0.0)
+
+    def test_lower_bound_instances(self):
+        rng = episode_rng(315, 1)
+        for eps in (0.0, 0.0, 0.1, 0.25):
+            for _ in range(10):
+                budget = float(rng.integers(5, 60))
+                env = make_lower_bound_env(7, 3, budget, 0.5, eps, rng)
+                assert_screen_exact(env, 3, budget)
+
+    @pytest.mark.parametrize("cells", [1, None])
+    def test_short_sequence_still_raises(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
+        # the cheap arm 3 gains nothing, far below the floor the others set,
+        # but it outlasts the 6 rounds, so the oracle cannot decide
+        env = column_env([0.9, 0.8, 0.7, 0.0], [1.0, 1.0, 1.0, 0.1], t_max=6)
+        cfg = BanditConfig(n_arms=4, plays=1, budget=3.0, c_min=0.1)
+        with pytest.raises(ConfigError, match="exhausted"):
+            oracle_gain_adversarial(env, cfg)
+
+    def test_few_subsets_reach_the_kernel(self, monkeypatch):
+        cfg = BanditConfig(n_arms=24, plays=4, budget=800.0, c_min=0.5)
+        env = harness.materialize_environment(
+            RunSpec(cfg, PolicySpec("exp3_mb", g="oracle"), LowerBoundSpec(), base_seed=77))
+        kernel, reached = harness._best_subset, []
+
+        def spy(env, subsets, count, plays, budget):
+            subsets = list(subsets)
+            reached.extend(subsets)
+            return kernel(env, iter(subsets), count, plays, budget)
+
+        monkeypatch.setattr(harness, "_best_subset", spy)
+        oracle_gain_adversarial(env, cfg)
+        assert 1 <= len(reached) <= math.comb(24, 4) // 100
