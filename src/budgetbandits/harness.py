@@ -369,6 +369,7 @@ def _screened_best_subset(env: AdversarialEnv, plays: int,
         # first whose remainder surely is (T_max + 1: none); the subset's
         # overdraw lies between them, and it gains the rounds before it
         maybe = _first_below(spent, arms, budget, tol)
+        # mostly the same round: bisect again only where it is not yet below -tol
         surely = maybe.copy()
         unsure = budget - _subset_totals(spent, arms, np.minimum(maybe, t_max)) >= -tol
         if unsure.any():
