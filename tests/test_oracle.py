@@ -253,8 +253,8 @@ class TestScreen:
     def test_half_integer_grids_where_remainders_land_on_zero(self, cells, monkeypatch):
         if cells is not None:
             monkeypatch.setattr(harness, "_BLOCK_CELLS", cells)
-        # arm 0 costs 0.5 a round, so on a whole budget its remainder is
-        # exactly 0 after 2B rounds and the next round overdraws
+        # arms 0 and 1 leave a remainder of exactly 0, after 8 and 4 rounds,
+        # overdraw in the next and gain 4 each: the tie goes to arm 0
         env = column_env([0.5, 1.0, 0.5], [0.5, 1.0, 1.0], t_max=10)
         assert assert_screen_exact(env, 1, 4.0) == ((0,), 4.0)
         rng = episode_rng(312, 1)
