@@ -23,7 +23,8 @@ some other, so the oracle returns the very (arms, gain) of the kernel run
 over all subsets, ties to the first, and every gain it returns is the
 kernel's. A subset that may outlast the T_max rows always goes to the
 kernel, which raises. On the N = 24, K = 4 lower-bound instance a handful of
-the 10626 subsets reach the kernel.
+the 10626 subsets reach the kernel. The prefix sums are as large as the
+sequences; the chunk's vectors stay within _BLOCK_CELLS cells.
 
 The block kernel (_best_subset) evaluates subsets in lexicographic blocks.
 For a block of m subsets it builds the (T_max + 1, m) matrix whose row 0 is
